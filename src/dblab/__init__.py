@@ -24,11 +24,8 @@ from .model import (
     doing_time_to_reach,
     no_shirk_check,
     posterior,
-    posterior_array,
     progress_model_from_dict,
-    progress_value,
     progress_value_array,
-    progress_value_limit,
     validate_model,
 )
 from .policy import (
@@ -68,9 +65,8 @@ from .dp import (
     dp_no_feedback,
     dp_reduced,
     dp_two_stage,
-    dump_tables,
     extract_schedule,
-    load_tables,
+    interval_taus,
     majority_intervals,
 )
 from .nofeedback import (
@@ -99,9 +95,8 @@ __all__ = [
     "CheckResult", "ModelParams", "ModelValidationError", "NoShirkResult",
     "PayoffStream", "ProgressModel", "RiskyArm", "SafeArm", "Tabulated",
     "TimeVarying", "ValidationReport", "doing_time_to_reach",
-    "no_shirk_check", "posterior", "posterior_array",
-    "progress_model_from_dict", "progress_value", "progress_value_array",
-    "progress_value_limit", "validate_model",
+    "no_shirk_check", "posterior", "progress_model_from_dict",
+    "progress_value_array", "validate_model",
     "INFINITE", "SearchCeilingError", "SwitchingDiagnostics",
     "do_throughout_value", "hail_mary_belief", "hail_mary_belief_raw",
     "hail_mary_time", "initial_doing_span", "known_arm_value",
@@ -111,7 +106,7 @@ __all__ = [
     "InfiniteHorizonPlan", "PolicySchedule", "SolverError", "Thresholds",
     "belief_thresholds", "solve", "solve_infinite_horizon", "solve_no_cost",
     "CoarseGridError", "DPSolution", "Grid", "dp_no_feedback", "dp_reduced",
-    "dp_two_stage", "dump_tables", "extract_schedule", "load_tables",
+    "dp_two_stage", "extract_schedule", "interval_taus",
     "majority_intervals",
     "NoFeedbackModel", "doing_density", "no_solution_prob",
     "progress_given_no_solution", "solution_density",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dp import CoarseGridError, Grid, dp_no_feedback, dp_reduced, \
-    dp_two_stage, extract_schedule
+    dp_two_stage, extract_schedule, interval_taus
 from .model import (
     ModelParams,
     ModelValidationError,
@@ -29,6 +29,7 @@ from .model import (
 )
 from .nofeedback import NoFeedbackModel
 from .outcomes import (
+    SWEEP_COLUMNS,
     SimConfig,
     conversion_rate,
     route_probabilities,
@@ -41,6 +42,10 @@ from .solver import SolverError, belief_thresholds, solve, \
     solve_infinite_horizon
 
 _AGENT_KEYS = {"p_bar", "lambda", "mu", "c", "B", "T"}
+_BLOCKS = ("solver", "oracle", "sim", "sweep")
+# numeric settings of the optional blocks, checked when the config is read
+_BLOCK_NUMBERS = {"solver": ("n_grid", "tau_tol"), "oracle": ("dt", "nu"),
+                  "sim": ("reps", "seed", "nu"), "sweep": ("nu",)}
 
 
 class _WriteFailure(Exception):
@@ -79,26 +84,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if "agent" not in data or "model" not in data:
+        if not isinstance(data, dict) or "agent" not in data or "model" not in data:
             raise ValueError("config must contain 'agent' and 'model' blocks")
-        agent = dict(data["agent"])
+        agent = _block(data, "agent")
         unknown = set(agent) - _AGENT_KEYS
         if unknown:
             raise ValueError(f"unknown agent keys: {sorted(unknown)}")
         missing = _AGENT_KEYS - set(agent)
         if missing:
             raise ValueError(f"missing agent keys: {sorted(missing)}")
-        params = ModelParams(p_bar=float(agent["p_bar"]),
-                             lam=float(agent["lambda"]),
-                             mu=float(agent["mu"]), c=float(agent["c"]),
-                             B=float(agent["B"]), T=float(agent["T"]))
-        model_spec = dict(data["model"])
+        num = {key: _number(f"agent.{key}", agent[key]) for key in agent}
+        params = ModelParams(p_bar=num["p_bar"], lam=num["lambda"],
+                             mu=num["mu"], c=num["c"], B=num["B"], T=num["T"])
+        model_spec = _block(data, "model")
         progress_model_from_dict(model_spec)  # fail fast on bad spec
-        return cls(params=params, model_spec=model_spec,
-                   solver=dict(data.get("solver", {})),
-                   oracle=dict(data.get("oracle", {})),
-                   sim=dict(data.get("sim", {})),
-                   sweep=dict(data.get("sweep", {})))
+        blocks = {name: _block(data, name) for name in _BLOCKS}
+        for name, keys in _BLOCK_NUMBERS.items():
+            for key in keys:
+                if key in blocks[name]:
+                    _number(f"{name}.{key}", blocks[name][key])
+        return cls(params=params, model_spec=model_spec, **blocks)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -116,7 +121,7 @@ class RunConfig:
                  "mu": self.params.mu, "c": self.params.c,
                  "B": self.params.B, "T": self.params.T}
         out = {"agent": agent, "model": dict(self.model_spec)}
-        for name in ("solver", "oracle", "sim", "sweep"):
+        for name in _BLOCKS:
             block = getattr(self, name)
             if block:
                 out[name] = dict(block)
@@ -124,6 +129,21 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _block(data: dict, name: str) -> dict:
+    """A copy of the config block ``name`` (empty when absent)."""
+    block = data.get(name, {})
+    if not isinstance(block, dict):
+        raise ModelValidationError(
+            f"config block {name!r} must be a JSON object, got {block!r}")
+    return dict(block)
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelValidationError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _parse_grid(text: str) -> list:
@@ -141,7 +161,7 @@ def _grid_from_config(spec) -> list:
     if isinstance(spec, str):
         return _parse_grid(spec)
     if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
+        return [_number("sweep.grid", v) for v in spec]
     raise ValueError(f"unusable grid spec: {spec!r}")
 
 
@@ -205,23 +225,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _oracle_taus(intervals) -> tuple:
-    """Collapse oracle intervals to (tau1, tau2, tau3): leading doing,
-    total thinking, trailing doing."""
-    tau1 = tau2 = tau3 = 0.0
-    seen_think = False
-    for start, end, label in intervals:
-        span = end - start
-        if label == "THINK":
-            tau2 += span
-            seen_think = True
-        elif not seen_think:
-            tau1 += span
-        else:
-            tau3 += span
-    return tau1, tau2, tau3
-
-
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_file(args.config)
     dt = float(args.dt if args.dt is not None else cfg.oracle.get("dt", 1e-3))
@@ -254,7 +257,7 @@ def cmd_verify(args) -> int:
         report["pass"] = bool(ok)
     else:
         sched = solve(cfg.params, model)
-        o1, o2, o3 = _oracle_taus(intervals)
+        o1, o2, o3 = interval_taus(intervals)
         tol = 5.0 * dt
         ok = (abs(o1 - sched.tau1) <= tol and abs(o2 - sched.tau2) <= tol
               and abs(o3 - sched.tau3) <= tol)
@@ -273,11 +276,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-_SWEEP_HEADER = ("grid_value", "tau1", "tau2", "tau3", "structure",
-                 "p_total", "p_do_initial", "p_think", "p_hailmary",
-                 "p_total_backloaded", "expected_work")
-
-
 def cmd_sweep(args) -> int:
     cfg = RunConfig.from_file(args.config)
     model = cfg.build_model()
@@ -291,7 +289,7 @@ def cmd_sweep(args) -> int:
     nu = cfg.sweep.get("nu")
     rows = sweep(cfg.params, model, variable, values, nu=nu)
     out = _out_dir(args) / "sweep.csv"
-    _write_csv(out, _SWEEP_HEADER, rows)
+    _write_csv(out, SWEEP_COLUMNS, rows)
     n_err = sum(1 for r in rows if str(r["structure"]).startswith("ERROR"))
     print(f"swept {variable} over {len(values)} points "
           f"({n_err} failed); wrote {out}")
@@ -387,8 +385,7 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
-    except (ModelValidationError, CoarseGridError, ValueError, KeyError,
-            TypeError) as err:
+    except (ModelValidationError, CoarseGridError, ValueError) as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return 2
     except (SolverError, SearchCeilingError) as err:

@@ -14,7 +14,6 @@ state space is exact; no belief grid is involved.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +24,7 @@ from .model import (
     ProgressModel,
     RiskyArm,
     SafeArm,
-    posterior_array,
+    posterior,
     progress_value_array,
 )
 from .nofeedback import NoFeedbackModel, no_solution_prob
@@ -34,7 +33,6 @@ ACTION_DO = "DO"
 ACTION_THINK = "THINK"
 ACTION_IDLE = "IDLE"
 
-_MAGIC = b"DBL1"
 _MAX_STEPS = 20000
 _TIE_TOL = 1e-12
 
@@ -249,6 +247,27 @@ def extract_schedule(dp: DPSolution) -> tuple:
                                 dp.path_gaps)
 
 
+def interval_taus(intervals) -> tuple:
+    """Collapse (start, end, action) intervals to (tau1, tau2, tau3):
+    leading doing, total thinking, trailing doing.  Without a thinking
+    interval the whole span is the final stretch, ``(0, 0, T)``, the way
+    the closed-form solver reports a doing-only schedule."""
+    tau1 = tau2 = tau3 = 0.0
+    seen_think = False
+    for start, end, label in intervals:
+        span = end - start
+        if label == ACTION_THINK:
+            tau2 += span
+            seen_think = True
+        elif seen_think:
+            tau3 += span
+        else:
+            tau1 += span
+    if not seen_think:
+        return 0.0, 0.0, tau1
+    return tau1, tau2, tau3
+
+
 def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
     """Coarse-grained interval view of the no-arrival path.
 
@@ -303,31 +322,36 @@ def _assemble(grid: Grid, actions: tuple, step_values, keep_values: bool
 # oracle variants
 # ---------------------------------------------------------------------------
 
-def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
-               keep_values: bool = True) -> DPSolution:
-    """Reduced-model oracle: a thinking arrival pays the value-of-progress
-    lump evaluated at the middle of the arrival step."""
-    _check_grid(grid)
+def _lump_step_values(params: ModelParams, grid: Grid, lump: np.ndarray):
+    """Q-value rows of the reduced recursion: a thinking arrival in the
+    step with k steps remaining pays ``lump[k - 1]``; a doing arrival pays
+    ``B``."""
     N = grid.n_steps
     dt = grid.dt
-    actions = grid.action_set
-    p_vec = posterior_array(params.p_bar, params.lam, dt * np.arange(N + 1))
+    p_vec = posterior(params.p_bar, params.lam, dt * np.arange(N + 1))
     q_do = -math.expm1(-params.lam * dt)
     q_th = -math.expm1(-params.mu * dt)
     cost = params.c * dt
-    lump = np.zeros(N + 1)
-    if N > 0:
-        lump[1:] = progress_value_array(
-            model, (np.arange(1, N + 1) - 0.5) * dt)
 
     def step_values(k: int, W: np.ndarray):
         M = N - k
         s_do = p_vec[:M + 1] * q_do
         Q_do = -cost + s_do * params.B + (1.0 - s_do) * W[1:M + 2]
-        Q_th = -cost + q_th * lump[k] + (1.0 - q_th) * W[:M + 1]
+        Q_th = -cost + q_th * lump[k - 1] + (1.0 - q_th) * W[:M + 1]
         return Q_do, Q_th
 
-    return _assemble(grid, actions, step_values, keep_values)
+    return step_values
+
+
+def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
+               keep_values: bool = True) -> DPSolution:
+    """Reduced-model oracle: a thinking arrival pays the value-of-progress
+    lump evaluated at the middle of the arrival step."""
+    _check_grid(grid)
+    lump = progress_value_array(
+        model, (np.arange(1, grid.n_steps + 1) - 0.5) * grid.dt)
+    return _assemble(grid, grid.action_set,
+                     _lump_step_values(params, grid, lump), keep_values)
 
 
 def _stage2_entry_values(params: ModelParams, stage2: ProgressModel,
@@ -346,7 +370,7 @@ def _stage2_entry_values(params: ModelParams, stage2: ProgressModel,
         return pv
     if isinstance(stage2, RiskyArm):
         q2 = -math.expm1(-stage2.nu * dt)
-        p2 = posterior_array(stage2.p_bar_nu, stage2.nu, dt * np.arange(N + 2))
+        p2 = posterior(stage2.p_bar_nu, stage2.nu, dt * np.arange(N + 2))
         rows = np.zeros(N + 2)
         entry = np.zeros(N + 1)
         for k in range(1, N + 1):
@@ -370,26 +394,10 @@ def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
     lump paid on progress is the second stage's own optimal value, averaged
     across the arrival step."""
     _check_grid(grid)
-    N = grid.n_steps
-    dt = grid.dt
-    actions = grid.action_set
     entry = _stage2_entry_values(params, stage2, grid)
-    lump = np.zeros(N + 1)
-    if N > 0:
-        lump[1:] = 0.5 * (entry[:-1] + entry[1:])
-    p_vec = posterior_array(params.p_bar, params.lam, dt * np.arange(N + 1))
-    q_do = -math.expm1(-params.lam * dt)
-    q_th = -math.expm1(-params.mu * dt)
-    cost = params.c * dt
-
-    def step_values(k: int, W: np.ndarray):
-        M = N - k
-        s_do = p_vec[:M + 1] * q_do
-        Q_do = -cost + s_do * params.B + (1.0 - s_do) * W[1:M + 2]
-        Q_th = -cost + q_th * lump[k] + (1.0 - q_th) * W[:M + 1]
-        return Q_do, Q_th
-
-    return _assemble(grid, actions, step_values, keep_values)
+    lump = 0.5 * (entry[:-1] + entry[1:])
+    return _assemble(grid, grid.action_set,
+                     _lump_step_values(params, grid, lump), keep_values)
 
 
 def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
@@ -409,7 +417,7 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     N = grid.n_steps
     dt = grid.dt
     actions = grid.action_set
-    p_vec = posterior_array(nf.p_bar, nf.lam, dt * np.arange(N + 1))
+    p_vec = posterior(nf.p_bar, nf.lam, dt * np.arange(N + 1))
     q_do = -math.expm1(-nf.lam * dt)
     cost = nf.c * dt
     # survival of the thinking pipeline after j thinking steps
@@ -426,40 +434,3 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
         return Q_do, Q_th
 
     return _assemble(grid, actions, step_values, keep_values)
-
-
-# ---------------------------------------------------------------------------
-# binary table dumps for regression fixtures
-# ---------------------------------------------------------------------------
-
-def dump_tables(dp: DPSolution, path) -> None:
-    """Write value and policy tables as a versioned binary blob: magic,
-    dt, n_steps, then two row-major float64 squares padded with NaN."""
-    if dp.value_rows is None:
-        raise ValueError("cannot dump: value table was not kept")
-    N = dp.grid.n_steps
-    square_v = np.full((N + 1, N + 1), np.nan)
-    square_p = np.full((N + 1, N + 1), np.nan)
-    for k in range(N + 1):
-        row_v = dp.value_rows[k]
-        square_v[k, :len(row_v)] = row_v
-        row_p = dp.policy_rows[k]
-        square_p[k, :len(row_p)] = row_p
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<dq", dp.grid.dt, N))
-        fh.write(square_v.astype("<f8").tobytes())
-        fh.write(square_p.astype("<f8").tobytes())
-
-
-def load_tables(path) -> dict:
-    """Read back a table dump written by :func:`dump_tables`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}; not a table dump")
-        dt, n = struct.unpack("<dq", fh.read(16))
-        count = (n + 1) * (n + 1)
-        value = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(n + 1, -1)
-        policy = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(n + 1, -1)
-    return {"dt": dt, "n_steps": n, "value": value, "policy": policy}

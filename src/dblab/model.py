@@ -11,8 +11,10 @@ of immutable inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -64,31 +66,55 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
+# scalar-or-array evaluation
+# ---------------------------------------------------------------------------
+
+def _ops(x):
+    """Namespace for evaluating a formula at ``x``: numpy for arrays, and
+    for scalars the matching ``math`` functions, which keep scalar results
+    plain floats and are several times faster than numpy on one number."""
+    return np if isinstance(x, np.ndarray) else _SCALAR_OPS
+
+
+_SCALAR_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, minimum=min,
+                              where=lambda cond, a, b: a if cond else b)
+
+
+def _checked_ops(x, order: int = 0, top: float = sys.float_info.max,
+                 name: str = "tau"):
+    """:func:`_ops` of ``x`` after rejecting any entry that is not finite or
+    lies outside [0, top], and a derivative order other than 0, 1, 2.
+    Scalars skip every numpy call: the solver makes thousands of scalar
+    evaluations."""
+    if isinstance(x, np.ndarray):
+        # initial=0 accepts an empty array
+        xp, lo, hi = np, x.min(initial=0.0), x.max(initial=0.0)
+    else:
+        xp, lo, hi = _SCALAR_OPS, x, x
+    if not (0.0 <= lo and hi <= top):  # NaN and inf fail too: top is finite
+        raise ValueError(
+            f"{name} must be finite and in [0, {top:g}], got {x}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    return xp
+
+
+# ---------------------------------------------------------------------------
 # belief arithmetic
 # ---------------------------------------------------------------------------
 
-def posterior(p_bar: float, lam: float, doing_time: float) -> float:
+def posterior(p_bar: float, lam: float, doing_time):
     """Belief that the doing arm works after `doing_time` of unrewarded doing.
 
     Bayes rule against an exponential arrival:
-    ``p_bar*exp(-lam*A) / (p_bar*exp(-lam*A) + 1 - p_bar)``.
+    ``p_bar*exp(-lam*A) / (p_bar*exp(-lam*A) + 1 - p_bar)``.  Accepts a
+    scalar or an array of doing times.
     """
     if not 0.0 < p_bar < 1.0:
         raise ValueError(f"p_bar must lie in (0, 1), got {p_bar}")
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if doing_time < 0.0:
-        raise ValueError(f"doing_time must be nonnegative, got {doing_time}")
-    w = p_bar * math.exp(-lam * doing_time)
-    return w / (w + 1.0 - p_bar)
-
-
-def posterior_array(p_bar: float, lam: float, doing_time: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`posterior` for a nonnegative array of doing times."""
-    a = np.asarray(doing_time, dtype=float)
-    if np.any(a < 0.0):
-        raise ValueError("doing_time entries must be nonnegative")
-    w = p_bar * np.exp(-lam * a)
+    w = p_bar * _checked_ops(doing_time, name="doing_time").exp(-lam * doing_time)
     return w / (w + 1.0 - p_bar)
 
 
@@ -111,6 +137,17 @@ def doing_time_to_reach(p_bar: float, lam: float, p_target: float) -> float:
     return math.log(odds_start / odds_end) / lam
 
 
+def _as_taus(schedule) -> tuple:
+    """(tau1, tau2, tau3) of a schedule object or a 3-sequence, as floats;
+    rounding noise down to -1e-12 is clipped to zero."""
+    if hasattr(schedule, "tau1"):
+        schedule = (schedule.tau1, schedule.tau2, schedule.tau3)
+    taus = tuple(float(t) for t in schedule)
+    if len(taus) != 3 or min(taus) < -1e-12:
+        raise ValueError(f"schedule must be three nonnegative spans, got {taus}")
+    return tuple(max(t, 0.0) for t in taus)
+
+
 # ---------------------------------------------------------------------------
 # value-of-progress family
 # ---------------------------------------------------------------------------
@@ -119,23 +156,17 @@ class ProgressModel:
     """Value of progress as a function of remaining time.
 
     Subclasses implement ``value(tau, order)`` returning V, V' or V'' and
-    ``limit()`` returning the no-deadline value V(inf).
+    ``limit()`` returning the no-deadline value V(inf).  ``value`` takes a
+    scalar (and returns a float) or an array (and returns an array).
     """
 
     family: str = "abstract"
 
-    def value(self, tau: float, order: int = 0) -> float:
+    def value(self, tau, order: int = 0):
         raise NotImplementedError
 
     def limit(self) -> float:
         raise NotImplementedError
-
-
-def _check_eval_args(tau: float, order: int) -> None:
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +190,8 @@ class SafeArm(ProgressModel):
         _require(self.nu * self.B_nu > self.c_nu,
                  "conversion arm must be worth working: nu*B_nu > c_nu")
 
-    def value(self, tau: float, order: int = 0) -> float:
-        _check_eval_args(tau, order)
-        decay = math.exp(-self.nu * tau)
+    def value(self, tau, order: int = 0):
+        decay = _checked_ops(tau, order).exp(-self.nu * tau)
         slope0 = self.nu * self.B_nu - self.c_nu
         if order == 0:
             return (1.0 - decay) * (self.B_nu - self.c_nu / self.nu)
@@ -212,19 +242,18 @@ class RiskyArm(ProgressModel):
         arg = odds * (self.nu * self.B_nu - self.c_nu) / self.c_nu
         return math.log(arg) / self.nu
 
-    def value(self, tau: float, order: int = 0) -> float:
-        _check_eval_args(tau, order)
+    def value(self, tau, order: int = 0):
+        xp = _checked_ops(tau, order)
         p, nu, b, cc = self.p_bar_nu, self.nu, self.B_nu, self.c_nu
-        if tau <= self.stop_time:
-            decay = math.exp(-nu * tau)
-            if order == 0:
-                return p * (1.0 - decay) * (b - cc / nu) - (1.0 - p) * cc * tau
-            if order == 1:
-                return p * decay * (nu * b - cc) - (1.0 - p) * cc
-            return -nu * p * decay * (nu * b - cc)
+        decay = xp.exp(-nu * tau)
         if order == 0:
-            return self.limit()
-        return 0.0
+            active = p * (1.0 - decay) * (b - cc / nu) - (1.0 - p) * cc * tau
+            flat = self.limit()
+        elif order == 1:
+            active, flat = p * decay * (nu * b - cc) - (1.0 - p) * cc, 0.0
+        else:
+            active, flat = -nu * p * decay * (nu * b - cc), 0.0
+        return xp.where(tau <= self.stop_time, active, flat)
 
     def limit(self) -> float:
         # Flat-region value; continuous with the active branch at stop_time.
@@ -240,7 +269,7 @@ class TimeVarying(ProgressModel):
 
     The value is the expected discounted-by-survival payoff of riding that
     hazard for the remaining window; it has no closed form and is evaluated
-    by adaptive quadrature in cumulative-hazard units.
+    by adaptive quadrature in cumulative-hazard units, one per point.
     """
 
     nu: float
@@ -256,30 +285,32 @@ class TimeVarying(ProgressModel):
         _require(self.B > 0.0, f"B must be positive, got {self.B}")
         _require(self.c >= 0.0, f"c must be nonnegative, got {self.c}")
 
-    def _rate(self, t: float) -> float:
-        return self.nu * math.exp(self.alpha + self.beta * t)
-
-    def _cum_hazard(self, t: float) -> float:
+    def _cum_hazard(self, t):
         base = self.nu * math.exp(self.alpha)
         if self.beta == 0.0:
             return base * t
-        return base * math.expm1(self.beta * t) / self.beta
+        return base * _ops(t).expm1(self.beta * t) / self.beta
 
-    def value(self, tau: float, order: int = 0) -> float:
-        _check_eval_args(tau, order)
+    def _hazard_integral(self, upper: float) -> float:
+        # Substituting u = cumulative hazard turns the integrand into
+        # exp(-u) * (B - c/rate(u)) with rate(u) = base + beta*u.
+        if upper == 0.0:
+            return 0.0
+        base = self.nu * math.exp(self.alpha)
+        val, _ = quad(
+            lambda u: math.exp(-u) * (self.B - self.c / (base + self.beta * u)),
+            0.0, upper, epsabs=1e-10, epsrel=1e-12, limit=200)
+        return val
+
+    def value(self, tau, order: int = 0):
+        xp = _checked_ops(tau, order)
         if order == 0:
-            # Substituting u = cumulative hazard turns the integrand into
-            # exp(-u) * (B - c/rate(u)) with rate(u) = base + beta*u.
-            base = self.nu * math.exp(self.alpha)
             upper = self._cum_hazard(tau)
-            if upper == 0.0:
-                return 0.0
-            val, _ = quad(
-                lambda u: math.exp(-u) * (self.B - self.c / (base + self.beta * u)),
-                0.0, upper, epsabs=1e-10, epsrel=1e-12, limit=200)
-            return val
-        rate = self._rate(tau)
-        surv = math.exp(-self._cum_hazard(tau))
+            if xp is np:
+                return np.vectorize(self._hazard_integral, otypes=[float])(upper)
+            return self._hazard_integral(upper)
+        rate = self.nu * xp.exp(self.alpha + self.beta * tau)
+        surv = xp.exp(-self._cum_hazard(tau))
         if order == 1:
             return surv * (rate * self.B - self.c)
         return surv * (self.beta * rate * self.B - rate * (rate * self.B - self.c))
@@ -287,10 +318,7 @@ class TimeVarying(ProgressModel):
     def limit(self) -> float:
         base = self.nu * math.exp(self.alpha)
         if self.beta > 0.0:
-            val, _ = quad(
-                lambda u: math.exp(-u) * (self.B - self.c / (base + self.beta * u)),
-                0.0, np.inf, epsabs=1e-10, epsrel=1e-12, limit=200)
-            return val
+            return self._hazard_integral(math.inf)
         if self.beta == 0.0:
             return self.B - self.c / base
         # Decaying hazard: total hazard is finite, so once the rate has
@@ -315,9 +343,8 @@ class PayoffStream(ProgressModel):
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
         _require(self.B_nu > 0.0, f"B_nu must be positive, got {self.B_nu}")
 
-    def value(self, tau: float, order: int = 0) -> float:
-        _check_eval_args(tau, order)
-        decay = math.exp(-self.nu * tau)
+    def value(self, tau, order: int = 0):
+        decay = _checked_ops(tau, order).exp(-self.nu * tau)
         if order == 0:
             return self.B_nu * (1.0 - decay)
         if order == 1:
@@ -354,14 +381,10 @@ class Tabulated(ProgressModel):
         return PchipInterpolator(np.asarray(self.taus, dtype=float),
                                  np.asarray(self.values, dtype=float))
 
-    def value(self, tau: float, order: int = 0) -> float:
-        _check_eval_args(tau, order)
-        if tau > self.taus[-1]:
-            raise ValueError(
-                f"tau={tau} outside tabulated range [0, {self.taus[-1]}]")
-        if order == 0:
-            return float(self._interp(tau))
-        return float(self._interp.derivative(order)(tau))
+    def value(self, tau, order: int = 0):
+        xp = _checked_ops(tau, order, top=self.taus[-1])
+        curve = self._interp if order == 0 else self._interp.derivative(order)
+        return curve(tau) if xp is np else float(curve(tau))
 
     def limit(self) -> float:
         if abs(self.values[-1] - self.values[-2]) >= 1e-8:
@@ -382,14 +405,21 @@ _FAMILIES = {
 
 def progress_model_from_dict(spec: dict) -> ProgressModel:
     """Build a family member from a plain dict with a ``family`` key."""
+    if not isinstance(spec, dict):
+        raise ModelValidationError(
+            f"model spec must be a JSON object, got {spec!r}")
     kwargs = dict(spec)
     name = kwargs.pop("family", None)
-    if name not in _FAMILIES:
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise ModelValidationError(
             f"unknown progress-model family {name!r}; "
             f"expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[name]
     if name == "Tabulated":
+        for key in ("taus", "values"):
+            if not isinstance(kwargs.get(key), (list, tuple)):
+                raise ModelValidationError(
+                    f"Tabulated needs a list {key!r}, got {kwargs.get(key)!r}")
         kwargs = {"taus": tuple(kwargs["taus"]), "values": tuple(kwargs["values"])}
     try:
         return cls(**kwargs)
@@ -397,29 +427,9 @@ def progress_model_from_dict(spec: dict) -> ProgressModel:
         raise ModelValidationError(f"bad parameters for {name}: {exc}") from exc
 
 
-def progress_value(model: ProgressModel, tau: float, order: int = 0) -> float:
-    """V(tau), V'(tau) or V''(tau) for any family member."""
-    return model.value(tau, order)
-
-
-def progress_value_limit(model: ProgressModel) -> float:
-    """The no-deadline value V(inf)."""
-    return model.limit()
-
-
-def progress_value_array(model: ProgressModel, taus: np.ndarray) -> np.ndarray:
-    """Vectorized V(tau) with closed-form fast paths for the exponential
-    families; other families fall back to a scalar loop."""
-    t = np.asarray(taus, dtype=float)
-    if isinstance(model, SafeArm):
-        return (1.0 - np.exp(-model.nu * t)) * (model.B_nu - model.c_nu / model.nu)
-    if isinstance(model, PayoffStream):
-        return model.B_nu * (1.0 - np.exp(-model.nu * t))
-    if isinstance(model, RiskyArm):
-        p, nu, b, cc = model.p_bar_nu, model.nu, model.B_nu, model.c_nu
-        active = p * (1.0 - np.exp(-nu * t)) * (b - cc / nu) - (1.0 - p) * cc * t
-        return np.where(t <= model.stop_time, active, model.limit())
-    return np.array([model.value(x) for x in np.atleast_1d(t)])
+def progress_value_array(model: ProgressModel, taus, order: int = 0) -> np.ndarray:
+    """V, V' or V'' of any family member on an array of remaining times."""
+    return model.value(np.asarray(taus, dtype=float), order)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +469,15 @@ def _check_grid(params: ModelParams, model: ProgressModel, n_grid: int) -> np.nd
     return np.geomspace(hi * 1e-6, hi, n_grid)
 
 
+def _first_failure(bad: np.ndarray, at: np.ndarray, values: np.ndarray) -> tuple:
+    """(passed, witness tau, witness value) of a check sampled on a grid
+    that fails where ``bad`` holds; the witness is the first failure."""
+    idx = np.flatnonzero(bad)
+    if idx.size == 0:
+        return True, None, None
+    return False, float(at[idx[0]]), float(values[idx[0]])
+
+
 def validate_model(params: ModelParams, model: ProgressModel,
                    n_grid: int = 512) -> ValidationReport:
     """Check the standing conditions on the value of progress.
@@ -476,34 +495,22 @@ def validate_model(params: ModelParams, model: ProgressModel,
     v0 = model.value(0.0)
     checks.append(CheckResult("value_at_zero", abs(v0) <= 1e-12, 0.0, v0))
 
-    # strict increase: use first derivative (value differences for Tabulated)
+    # strict increase: first derivative (value differences for Tabulated)
+    d1 = progress_value_array(model, grid, 1)
+    d2 = progress_value_array(model, grid, 2)
     if advisory_derivs:
-        vals = progress_value_array(model, grid)
-        diffs = np.diff(vals)
-        bad = np.where(diffs <= 0.0)[0]
-        ok = bad.size == 0
-        wt, wv = ((float(grid[bad[0] + 1]), float(diffs[bad[0]])) if not ok
-                  else (None, None))
-        checks.append(CheckResult("strictly_increasing", ok, wt, wv))
+        rise, at = np.diff(progress_value_array(model, grid)), grid[1:]
     else:
-        d1 = np.array([model.value(x, 1) for x in grid])
-        bad = np.where(d1 <= 0.0)[0]
-        ok = bad.size == 0
-        wt, wv = ((float(grid[bad[0]]), float(d1[bad[0]])) if not ok
-                  else (None, None))
-        checks.append(CheckResult("strictly_increasing", ok, wt, wv))
+        rise, at = d1, grid
+    checks.append(CheckResult("strictly_increasing",
+                              *_first_failure(rise <= 0.0, at, rise)))
 
     # relative concavity: -V''/V' >= p_bar*lam
     floor = params.p_bar * params.lam
-    d1 = np.array([model.value(x, 1) for x in grid])
-    d2 = np.array([model.value(x, 2) for x in grid])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 > 0.0, -d2 / d1, np.inf)
-    bad = np.where(ratio < floor - 1e-9)[0]
-    ok = bad.size == 0
-    wt, wv = ((float(grid[bad[0]]), float(ratio[bad[0]])) if not ok
-              else (None, None))
-    checks.append(CheckResult("relative_concavity", ok, wt, wv,
+    checks.append(CheckResult("relative_concavity",
+                              *_first_failure(ratio < floor - 1e-9, grid, ratio),
                               detail=f"required >= {floor}",
                               advisory=advisory_derivs))
 
@@ -530,19 +537,14 @@ def validate_model(params: ModelParams, model: ProgressModel,
 
         mu, lam, B, c = params.mu, params.lam, params.B, params.c
         u2 = -lam * (lam * B - c) * np.exp(-lam * grid)
-        f = np.array([mu * model.value(x, 2) / ((mu - lam) * uu)
-                      - hail_mary_belief_raw(params, model, x)
-                      for x, uu in zip(grid, u2)])
+        f = mu * d2 / ((mu - lam) * u2) - hail_mary_belief_raw(params, model, grid)
         diffs = np.diff(f)
         tol = 1e-9 * max(1.0, float(np.max(np.abs(f))))
-        up_ok = bool(np.all(diffs >= -tol))
-        down_ok = bool(np.all(diffs <= tol))
-        ok = up_ok or down_ok
-        wt = wv = None
-        if not ok:
-            idx = int(np.where(diffs < -tol)[0][0]) if not up_ok else 0
-            wt, wv = float(grid[idx]), float(diffs[idx])
-        checks.append(CheckResult("deadline_salience_monotone", ok, wt, wv,
+        # either direction is monotone; a ratio that rises somewhere fails
+        # where it first falls
+        falls = (diffs < -tol) & bool(np.any(diffs > tol))
+        checks.append(CheckResult("deadline_salience_monotone",
+                                  *_first_failure(falls, grid, diffs),
                                   advisory=advisory_derivs))
 
     overall = all(c.passed for c in checks if not c.advisory)
@@ -576,4 +578,4 @@ def no_shirk_check(params: ModelParams, terminal_belief: float) -> NoShirkResult
             f"terminal_belief must lie in (0, 1), got {terminal_belief}")
     threshold = params.c / (params.lam * params.B)
     floor = posterior(params.p_bar, params.lam, params.T)
-    return NoShirkResult(terminal_belief >= threshold, threshold, floor)
+    return NoShirkResult(bool(terminal_belief >= threshold), threshold, floor)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import _require
+from .model import _checked_ops, _require
 
 
 @dataclass(frozen=True)
@@ -47,57 +45,40 @@ class NoFeedbackModel:
                 "formulas are singular at mu == nu)")
 
 
-def _check_arm_time(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("arm time must be nonnegative")
-    return arr
-
-
-def _scalar_like(a, value):
-    return float(value) if np.ndim(a) == 0 else value
-
-
-def no_solution_prob(nf: NoFeedbackModel, thinking_time) -> float:
+def no_solution_prob(nf: NoFeedbackModel, thinking_time):
     """CDF of the thinking pipeline's solution time at accumulated thinking
-    time ``thinking_time``: progress followed by conversion."""
-    a = _check_arm_time(thinking_time)
-    mu, nu = nf.mu, nf.nu
+    time ``thinking_time`` (scalar or array): progress followed by
+    conversion."""
+    a, mu, nu = thinking_time, nf.mu, nf.nu
+    xp = _checked_ops(a, name="thinking_time")
     if mu == nu:
-        cdf = -np.expm1(-mu * a) - mu * a * np.exp(-mu * a)
-    else:
-        cdf = 1.0 - (mu * np.exp(-nu * a) - nu * np.exp(-mu * a)) / (mu - nu)
-    return _scalar_like(thinking_time, cdf)
+        return -xp.expm1(-mu * a) - mu * a * xp.exp(-mu * a)
+    return 1.0 - (mu * xp.exp(-nu * a) - nu * xp.exp(-mu * a)) / (mu - nu)
 
 
-def solution_density(nf: NoFeedbackModel, thinking_time) -> float:
+def solution_density(nf: NoFeedbackModel, thinking_time):
     """Density of the thinking pipeline's solution time."""
-    a = _check_arm_time(thinking_time)
-    mu, nu = nf.mu, nf.nu
+    a, mu, nu = thinking_time, nf.mu, nf.nu
+    xp = _checked_ops(a, name="thinking_time")
     if mu == nu:
-        dens = mu * mu * a * np.exp(-mu * a)
-    else:
-        dens = (np.exp(-nu * a) - np.exp(-mu * a)) * mu * nu / (mu - nu)
-    return _scalar_like(thinking_time, dens)
+        return mu * mu * a * xp.exp(-mu * a)
+    return (xp.exp(-nu * a) - xp.exp(-mu * a)) * mu * nu / (mu - nu)
 
 
-def progress_given_no_solution(nf: NoFeedbackModel, thinking_time) -> float:
+def progress_given_no_solution(nf: NoFeedbackModel, thinking_time):
     """Probability that progress has already arrived, conditional on no
     solution after ``thinking_time`` of thinking.  Grows with thinking time:
     latent optimism."""
-    a = _check_arm_time(thinking_time)
-    mu, nu = nf.mu, nf.nu
+    a, mu, nu = thinking_time, nf.mu, nf.nu
+    xp = _checked_ops(a, name="thinking_time")
     if mu == nu:
-        val = mu * a / (1.0 + mu * a)
-    else:
-        val = (mu * (np.exp(-mu * a) - np.exp(-nu * a))
-               / (nu * np.exp(-mu * a) - mu * np.exp(-nu * a)))
-    return _scalar_like(thinking_time, val)
+        return mu * a / (1.0 + mu * a)
+    return (mu * (xp.exp(-mu * a) - xp.exp(-nu * a))
+            / (nu * xp.exp(-mu * a) - mu * xp.exp(-nu * a)))
 
 
-def doing_density(nf: NoFeedbackModel, doing_time) -> float:
+def doing_density(nf: NoFeedbackModel, doing_time):
     """Unconditional density of a doing-arm solution at accumulated doing
     time ``doing_time``: the prior-weighted exponential arrival."""
-    a = _check_arm_time(doing_time)
-    val = nf.lam * nf.p_bar * np.exp(-nf.lam * a)
-    return _scalar_like(doing_time, val)
+    xp = _checked_ops(doing_time, name="doing_time")
+    return nf.lam * nf.p_bar * xp.exp(-nf.lam * doing_time)

@@ -12,31 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .model import ModelParams, ModelValidationError, ProgressModel
+from .model import ModelParams, ModelValidationError, ProgressModel, _as_taus
 from .solver import SolverError, solve
 
 Schedule = namedtuple("Schedule", ["tau1", "tau2", "tau3"])
 
 _RATE_TOL = 1e-9
-
-
-def _as_taus(schedule) -> tuple:
-    if hasattr(schedule, "tau1"):
-        taus = (schedule.tau1, schedule.tau2, schedule.tau3)
-    else:
-        tau1, tau2, tau3 = schedule
-        taus = (float(tau1), float(tau2), float(tau3))
-    if any(t < 0.0 for t in taus):
-        raise ValueError(f"schedule spans must be nonnegative, got {taus}")
-    return taus
 
 
 def _rates_close(mu: float, nu: float) -> bool:
@@ -61,14 +48,10 @@ class OutcomeSummary:
 class SimConfig:
     reps: int = 100_000
     seed: int = 0
-    stream_policy: str = "variable-major"
 
     def __post_init__(self) -> None:
         if self.reps <= 0:
             raise ValueError(f"reps must be positive, got {self.reps}")
-        if self.stream_policy != "variable-major":
-            raise ValueError(
-                f"unsupported stream policy {self.stream_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -253,14 +236,14 @@ def simulate(schedule, params: ModelParams, nu: float,
                      reps=reps, seed=config.seed)
 
 
-_SWEEP_COLUMNS = ("grid_value", "tau1", "tau2", "tau3", "structure",
-                  "p_total", "p_do_initial", "p_think", "p_hailmary",
-                  "p_total_backloaded", "expected_work")
+SWEEP_COLUMNS = ("grid_value", "tau1", "tau2", "tau3", "structure",
+                 "p_total", "p_do_initial", "p_think", "p_hailmary",
+                 "p_total_backloaded", "expected_work")
 
 
 def _sweep_point(params: ModelParams, model: ProgressModel, variable: str,
                  value: float, nu: float) -> dict:
-    row = dict.fromkeys(_SWEEP_COLUMNS, float("nan"))
+    row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
     row["grid_value"] = value
     try:
         point = dataclasses.replace(params, **{variable: value})
@@ -281,27 +264,15 @@ def _sweep_point(params: ModelParams, model: ProgressModel, variable: str,
 
 
 def sweep(params: ModelParams, model: ProgressModel, variable: str,
-          grid, *, nu: float = None, max_workers: int = None) -> list:
+          grid, *, nu: float = None) -> list:
     """Solve and score the schedule across a parameter grid.
 
     ``variable`` is the ModelParams field to vary ("T" or "p_bar").
     Points that fail to solve get an ERROR structure tag and NaN metrics
-    instead of aborting the sweep.  Parallelism is capped by the
-    DBLAB_THREADS environment variable (default 1); rows always come back
-    in grid order.
+    instead of aborting the sweep.  Rows come back in grid order.
     """
     if variable not in ("T", "p_bar"):
         raise ValueError(f"variable must be 'T' or 'p_bar', got {variable!r}")
     rate = conversion_rate(model, nu)
-    values = [float(v) for v in grid]
-    if max_workers is None:
-        max_workers = int(os.environ.get("DBLAB_THREADS", "1"))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(
-                lambda v: _sweep_point(params, model, variable, v, rate),
-                values))
-    else:
-        rows = [_sweep_point(params, model, variable, v, rate)
-                for v in values]
-    return rows
+    return [_sweep_point(params, model, variable, float(v), rate)
+            for v in grid]

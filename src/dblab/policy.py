@@ -24,8 +24,11 @@ from .model import (
     ProgressModel,
     RiskyArm,
     SafeArm,
+    _as_taus,
+    _checked_ops,
+    _ops,
     doing_time_to_reach,
-    posterior_array,
+    posterior,
     progress_value_array,
 )
 
@@ -45,12 +48,15 @@ def search_ceiling(params: ModelParams, multiplier: float = 4.0) -> float:
 # benchmark values
 # ---------------------------------------------------------------------------
 
-def known_arm_value(params: ModelParams, tau: float) -> float:
-    """Value of pulling an arm of known rate ``lam`` for a window ``tau``:
-    ``(B - c/lam) * (1 - exp(-lam*tau))``."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    return (params.B - params.c / params.lam) * -math.expm1(-params.lam * tau)
+def known_arm_value(params: ModelParams, tau):
+    """Value of pulling an arm of known rate ``lam`` for a window ``tau``
+    (scalar or array): ``(B - c/lam) * (1 - exp(-lam*tau))``."""
+    return _known_arm(params, tau, _checked_ops(tau))
+
+
+def _known_arm(params: ModelParams, tau, xp):
+    # unchecked: for callers that have validated tau already
+    return (params.B - params.c / params.lam) * -xp.expm1(-params.lam * tau)
 
 
 def do_throughout_value(params: ModelParams, p: float, tau: float) -> float:
@@ -68,39 +74,25 @@ def do_throughout_value(params: ModelParams, p: float, tau: float) -> float:
 # Hail-Mary boundary belief
 # ---------------------------------------------------------------------------
 
-def hail_mary_belief_raw(params: ModelParams, model: ProgressModel,
-                         tau: float) -> float:
+def hail_mary_belief_raw(params: ModelParams, model: ProgressModel, tau):
     """The indifference belief before capping at one.
 
     ``mu*(V(tau) + c*tau) / (mu*(B + c*tau) + (lam - mu)*(B - U(tau)))``
     where U is the known-arm value.  The denominator stays positive for all
-    admissible parameters, including lam == mu.
+    admissible parameters, including lam == mu.  ``tau`` is a scalar or an
+    array.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
-    num = mu * (model.value(tau) + c * tau)
-    den = mu * (B + c * tau) + (lam - mu) * (B - known_arm_value(params, tau))
+    num = mu * (model.value(tau) + c * tau)  # value() validates tau
+    den = mu * (B + c * tau) + (lam - mu) * (B - _known_arm(params, tau, _ops(tau)))
     return num / den
 
 
-def hail_mary_belief(params: ModelParams, model: ProgressModel,
-                     tau: float) -> float:
+def hail_mary_belief(params: ModelParams, model: ProgressModel, tau):
     """Belief on entering the final doing stretch of length ``tau`` at which
     the agent is exactly indifferent about one last instant of thinking;
     capped at one."""
-    return min(1.0, hail_mary_belief_raw(params, model, tau))
-
-
-def _hail_mary_belief_array(params: ModelParams, model: ProgressModel,
-                            taus: np.ndarray) -> np.ndarray:
-    t = np.asarray(taus, dtype=float)
-    mu, lam, B, c = params.mu, params.lam, params.B, params.c
-    v = progress_value_array(model, t)
-    u = (B - c / lam) * -np.expm1(-lam * t)
-    num = mu * (v + c * t)
-    den = mu * (B + c * t) + (lam - mu) * (B - u)
-    return np.minimum(1.0, num / den)
+    return _ops(tau).minimum(1.0, hail_mary_belief_raw(params, model, tau))
 
 
 def hail_mary_time(params: ModelParams, model: ProgressModel, p: float,
@@ -121,7 +113,7 @@ def hail_mary_time(params: ModelParams, model: ProgressModel, p: float,
             f"{ceiling} (value there: {q(hi)})")
     # smallest crossing: locate the first sign change on a scan grid
     grid = np.linspace(0.0, hi, 257)
-    vals = _hail_mary_belief_array(params, model, grid) - p
+    vals = hail_mary_belief(params, model, grid) - p
     idx = int(np.argmax(vals >= 0.0))
     if idx == 0:
         return 0.0
@@ -265,17 +257,6 @@ class SwitchingDiagnostics:
     concavity_flags: np.ndarray
 
 
-def _unpack_schedule(schedule) -> tuple:
-    if isinstance(schedule, (tuple, list)) and len(schedule) == 3:
-        t1, t2, t3 = (float(x) for x in schedule)
-    else:
-        t1, t2, t3 = (float(schedule.tau1), float(schedule.tau2),
-                      float(schedule.tau3))
-    if min(t1, t2, t3) < -1e-12:
-        raise ValueError(f"negative period length in schedule {(t1, t2, t3)}")
-    return max(t1, 0.0), max(t2, 0.0), max(t3, 0.0)
-
-
 def switching_profile(params: ModelParams, model: ProgressModel,
                       schedule, n_steps: int = 4096) -> SwitchingDiagnostics:
     """Integrate the co-state correction along the schedule's action path
@@ -283,28 +264,27 @@ def switching_profile(params: ModelParams, model: ProgressModel,
 
     The correction starts at zero at the deadline and accumulates with a
     classical fourth-order scheme in remaining time, with nodes aligned to
-    the schedule's switch points.
+    the schedule's switch points.  Its rate does not depend on the
+    correction itself, so each step is Simpson's rule on the rate.
     """
-    tau1, tau2, tau3 = _unpack_schedule(schedule)
+    tau1, tau2, tau3 = _as_taus(schedule)
     T = tau1 + tau2 + tau3
     if abs(T - params.T) > 1e-6:
         raise ValueError(
             f"schedule spans {T}, which does not match the horizon {params.T}")
     mu, lam, B, c, p_bar = params.mu, params.lam, params.B, params.c, params.p_bar
 
-    def doing_time_at(tau_rem: float) -> float:
+    def doing_time_at(tau_rem: np.ndarray) -> np.ndarray:
         # doing time accumulated by calendar time T - tau_rem
-        if tau_rem <= tau3:
-            return tau1 + (tau3 - tau_rem)
-        if tau_rem <= tau3 + tau2:
-            return tau1
-        return max(T - tau_rem, 0.0)
+        return np.where(tau_rem <= tau3, tau1 + (tau3 - tau_rem),
+                        np.where(tau_rem <= tau3 + tau2, tau1,
+                                 np.maximum(T - tau_rem, 0.0)))
 
-    def eta_rate(tau_rem: float, active: float) -> float:
+    def eta_rate(tau_rem: np.ndarray, active: float) -> np.ndarray:
         a_doing = doing_time_at(tau_rem)
-        pre = math.exp(-mu * (T - tau_rem - a_doing))
-        decayed = p_bar * math.exp(-lam * a_doing)
-        v = model.value(tau_rem)
+        pre = np.exp(-mu * (T - tau_rem - a_doing))
+        decayed = p_bar * np.exp(-lam * a_doing)
+        v = progress_value_array(model, tau_rem)
         return pre * (mu * (1.0 - p_bar) * ((1.0 - active) * mu * v - c)
                       - (lam - mu) * decayed
                       * ((1.0 - active) * mu * v + active * lam * B - c))
@@ -319,46 +299,38 @@ def switching_profile(params: ModelParams, model: ProgressModel,
         segments.append((tau3 + tau2, T, 1.0))
 
     h_target = T / n_steps if T > 0.0 else 1.0
-    grid_pts = [0.0]
-    grid_actions = []  # action on the cell ending at the matching grid point
-    eta_vals = [0.0]
-    eta = 0.0
+    grids = [np.zeros(1)]
+    actions = []  # action on the cell ending at the matching grid point
+    steps = [np.zeros(1)]
     for lo, hi, active in segments:
         n_seg = max(1, math.ceil((hi - lo) / h_target))
         h = (hi - lo) / n_seg
-        t = lo
-        for _ in range(n_seg):
-            k1 = eta_rate(t, active)
-            k2 = eta_rate(t + 0.5 * h, active)
-            k3 = eta_rate(t + 0.5 * h, active)
-            k4 = eta_rate(t + h, active)
-            eta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            t += h
-            grid_pts.append(t)
-            grid_actions.append(active)
-            eta_vals.append(eta)
+        nodes = lo + h * np.arange(n_seg + 1)
+        k_end = eta_rate(nodes, active)
+        k_mid = eta_rate(nodes[:-1] + 0.5 * h, active)
+        steps.append(h * (k_end[:-1] + 4.0 * k_mid + k_end[1:]) / 6.0)
+        grids.append(nodes[1:])
+        actions.append(np.full(n_seg, active))
 
-    grid = np.array(grid_pts)
-    etas = np.array(eta_vals)
-    a_path = np.array([doing_time_at(t) for t in grid])
+    grid = np.concatenate(grids)
+    etas = np.cumsum(np.concatenate(steps))
+    a_path = doing_time_at(grid)
     pre = np.exp(-mu * (T - grid - a_path))
     odds_mass = 1.0 - p_bar + p_bar * np.exp(-lam * a_path)
-    belief = posterior_array(p_bar, lam, a_path)
+    belief = posterior(p_bar, lam, a_path)
     v_path = progress_value_array(model, grid)
     y = mu * v_path - belief * lam * B - etas / (pre * odds_mass)
 
-    sign_pattern = _sign_intervals(grid, y)
+    # an interior point is flagged when every cell touching it (the one
+    # beyond the last grid point counts as thinking) is a thinking cell
+    slope = (mu * progress_value_array(model, grid, 1)
+             + belief * mu * lam * (v_path - B) + (mu - lam * belief) * c)
+    thinking = np.append(np.concatenate([np.zeros(0)] + actions) == 0.0, True)
+    inside = thinking[:-2] & thinking[1:-1] & thinking[2:]
+    drift = slope[2:] - slope[:-2]
     flags = np.zeros(len(grid), dtype=np.int8)
-    thinking_cell = np.array(grid_actions) == 0.0
-    v1_path = np.array([model.value(t, 1) for t in grid])
-    slope = (mu * v1_path + belief * mu * lam * (v_path - B)
-             + (mu - lam * belief) * c)
-    for i in range(1, len(grid) - 1):
-        cells = thinking_cell[i - 1:min(i + 2, len(thinking_cell))]
-        if len(cells) and cells.all():
-            drift = slope[i + 1] - slope[i - 1]
-            flags[i] = int(np.sign(drift)) if abs(drift) > 1e-12 else 0
-    return SwitchingDiagnostics(grid, y, sign_pattern, flags)
+    flags[1:-1] = np.where(inside & (np.abs(drift) > 1e-12), np.sign(drift), 0)
+    return SwitchingDiagnostics(grid, y, _sign_intervals(grid, y), flags)
 
 
 def _sign_intervals(grid: np.ndarray, y: np.ndarray) -> tuple:

@@ -22,14 +22,12 @@ from .model import (
     ModelParams,
     ModelValidationError,
     ProgressModel,
+    _ops,
     no_shirk_check,
     posterior,
-    posterior_array,
-    progress_value_limit,
     validate_model,
 )
 from .policy import (
-    _hail_mary_belief_array,
     hail_mary_belief,
     hail_mary_time,
     initial_doing_span,
@@ -124,8 +122,8 @@ def _min_slack(params: ModelParams, model: ProgressModel, x: float,
     if x <= 0.0:
         return 0.0
     ts = np.linspace(0.0, x, n_grid)
-    slack = (posterior_array(start_belief, params.lam, ts)
-             - _hail_mary_belief_array(params, model, x - ts))
+    slack = (posterior(start_belief, params.lam, ts)
+             - hail_mary_belief(params, model, x - ts))
     i = int(np.argmin(slack))
     best = float(slack[i])
     lo = ts[max(i - 1, 0)]
@@ -274,7 +272,7 @@ def solve_infinite_horizon(params: ModelParams,
                            model: ProgressModel) -> InfiniteHorizonPlan:
     """No-deadline benchmark: a single indifference belief and the doing
     time needed to decay the prior down to it."""
-    vinf = progress_value_limit(model)
+    vinf = model.limit()
     denom = params.B - vinf + params.c / params.mu
     if denom <= 0.0:
         return InfiniteHorizonPlan(
@@ -307,20 +305,20 @@ def solve_no_cost(params: ModelParams, model: ProgressModel,
     satisfy V(inf) = B.  Returns the smallest root in (0, T], or the
     DO_THROUGHOUT sentinel when there is none.
     """
-    vinf = progress_value_limit(model)
+    vinf = model.limit()
     if abs(vinf - params.B) > 1e-8 * max(1.0, params.B):
         raise ValueError(
             f"benchmark requires V(inf) = B, got V(inf) = {vinf}, B = {params.B}")
     mu, lam, B, p_bar = params.mu, params.lam, params.B, params.p_bar
 
-    def gap(tau: float) -> float:
+    def gap(tau):
         return (mu * model.value(tau)
-                - p_bar * B * (mu + (lam - mu) * math.exp(-lam * tau)))
+                - p_bar * B * (mu + (lam - mu) * _ops(tau).exp(-lam * tau)))
 
     if params.T <= 0.0:
         return DO_THROUGHOUT
     taus = np.linspace(0.0, params.T, n_scan + 1)
-    vals = np.array([gap(t) for t in taus])
+    vals = gap(taus)
     crossings = np.where((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
     if crossings.size == 0:
         return DO_THROUGHOUT

@@ -27,6 +27,7 @@ from dblab import (
     dp_reduced,
     dp_two_stage,
     extract_schedule,
+    interval_taus,
     majority_intervals,
     no_solution_prob,
     progress_given_no_solution,
@@ -60,18 +61,7 @@ def criterion(number: int, summary: str):
 
 
 def _dp_taus(dp):
-    tau1 = tau2 = tau3 = 0.0
-    thought = False
-    for start, end, label in extract_schedule(dp):
-        span = end - start
-        if label == ACTION_THINK:
-            tau2 += span
-            thought = True
-        elif not thought:
-            tau1 += span
-        else:
-            tau3 += span
-    return tau1, tau2, tau3
+    return interval_taus(extract_schedule(dp))
 
 
 def test_criterion_1_reference_schedules_and_oracle():

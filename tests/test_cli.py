@@ -6,10 +6,22 @@ are pinned verbatim: downstream plotting depends on them.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from dblab.cli import RunConfig, _parse_grid, main
+
+# Artifacts written by the CLI for two configs (the README anchor and a
+# RiskyArm model); they are compared byte for byte, so a change that moves
+# any printed digit shows up here.  Regenerate them only on purpose.
+DATA = Path(__file__).parent / "data"
+GOLDEN_ARGS = {
+    "schedule.json": ["solve"],
+    "trajectory.csv": ["trajectory"],
+    "simulate.csv": ["simulate", "--reps", "100000", "--seed", "7"],
+    "sweep.csv": ["sweep", "--variable", "T", "--grid", "0.5:8:0.5"],
+}
 
 BASE_CONFIG = {
     "agent": {"p_bar": 0.75, "lambda": 0.75, "mu": 1.0, "c": 0.5,
@@ -81,6 +93,47 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("name, key, config", [
+    ("agent_list", "agent", {"agent": [1], "model": BASE_CONFIG["model"]}),
+    ("agent_value", "agent.mu", {"agent": {**BASE_CONFIG["agent"], "mu": [1]},
+                                 "model": BASE_CONFIG["model"]}),
+    ("tabulated", "values", {"agent": BASE_CONFIG["agent"],
+                             "model": {"family": "Tabulated",
+                                       "taus": [0.0, 1.0, 2.0, 3.0]}}),
+    ("sim_block", "sim.reps", {**BASE_CONFIG, "sim": {"reps": "many"}}),
+])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
+                                                 config):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and key in err
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_programming_error_is_not_an_invalid_configuration(
+        config_path, tmp_path, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("bug inside a subcommand")
+
+    monkeypatch.setattr("dblab.cli.solve", broken)
+    with pytest.raises(error):
+        main(["solve", "--config", str(config_path()), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN_ARGS))
+@pytest.mark.parametrize("name", ["anchor", "risky"])
+def test_artifacts_match_golden_bytes(tmp_path, name, artifact):
+    sub, *extra = GOLDEN_ARGS[artifact]
+    rc = main([sub, "--config", str(DATA / name / "config.json"),
+               "--out", str(tmp_path)] + extra)
+    assert rc == 0
+    assert (tmp_path / artifact).read_bytes() == \
+        (DATA / name / artifact).read_bytes()
+
+
 def test_solver_failure_exits_3(config_path, tmp_path, capsys):
     # a bisection tolerance this coarse degenerates the feasibility
     # bracket, which the solver reports rather than papering over
@@ -107,6 +160,16 @@ def test_verify_against_grid_oracle(config_path, tmp_path):
     assert report["tolerance"] == pytest.approx(5e-3)
     for got, want in zip(report["oracle"], report["solver"]):
         assert got == pytest.approx(want, abs=5e-3)
+
+
+def test_verify_do_only_config_passes(config_path, tmp_path):
+    rc = main(["verify", "--config", str(config_path(agent={"T": 0.5})),
+               "--out", str(tmp_path), "--dt", "2e-3"])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["pass"] is True
+    assert report["solver"] == [0.0, 0.0, 0.5]
+    assert report["oracle"] == pytest.approx([0.0, 0.0, 0.5], abs=1e-12)
 
 
 def test_verify_rejects_coarse_grid(config_path, tmp_path):

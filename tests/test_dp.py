@@ -1,6 +1,6 @@
 """Oracle tests: grid guards, closed-form cross-checks, action-set
-robustness, switch-time convergence, the explicit two-stage variant, the
-unobserved-progress variant, and table dumps."""
+robustness, switch-time convergence, the explicit two-stage variant, and
+the unobserved-progress variant."""
 
 import math
 
@@ -19,9 +19,7 @@ from dblab import (
     dp_no_feedback,
     dp_reduced,
     dp_two_stage,
-    dump_tables,
     extract_schedule,
-    load_tables,
     majority_intervals,
     solve,
     validate_model,
@@ -242,38 +240,3 @@ def test_unvalidated_model_shows_second_thinking_block():
                     keep_values=False)
     blocks = [lab for _, _, lab in majority_intervals(dp, window=0.2)]
     assert blocks == [ACTION_THINK, ACTION_DO, ACTION_THINK, ACTION_DO]
-
-
-# ---------------------------------------------------------------------------
-# table dumps
-# ---------------------------------------------------------------------------
-
-def test_dump_load_roundtrip(base_params, safe_arm, tmp_path):
-    dp = dp_reduced(base_params, safe_arm, Grid.from_horizon(1.0, 5e-3))
-    path = tmp_path / "tables.bin"
-    dump_tables(dp, path)
-    back = load_tables(path)
-    assert back["dt"] == dp.grid.dt
-    assert back["n_steps"] == dp.grid.n_steps
-    n = dp.grid.n_steps
-    for k in (0, 1, n // 2, n):
-        row = dp.value_rows[k]
-        np.testing.assert_allclose(back["value"][k, :len(row)], row,
-                                   rtol=0, atol=0)
-        assert np.all(np.isnan(back["value"][k, len(row):]))
-        pol = dp.policy_rows[k]
-        np.testing.assert_allclose(back["policy"][k, :len(pol)], pol)
-
-
-def test_dump_requires_value_table(base_params, safe_arm, tmp_path):
-    dp = dp_reduced(base_params, safe_arm, Grid.from_horizon(0.5, 5e-3),
-                    keep_values=False)
-    with pytest.raises(ValueError):
-        dump_tables(dp, tmp_path / "tables.bin")
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "not_tables.bin"
-    path.write_bytes(b"WHAT" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_tables(path)

@@ -1,7 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad, solve_ivp
 
 from dblab import (
@@ -14,12 +18,10 @@ from dblab import (
     TimeVarying,
     doing_time_to_reach,
     no_shirk_check,
+    hail_mary_belief,
     posterior,
-    posterior_array,
     progress_model_from_dict,
-    progress_value,
     progress_value_array,
-    progress_value_limit,
     validate_model,
 )
 
@@ -43,19 +45,9 @@ def test_posterior_anchor_value():
 def test_posterior_basic_shape():
     assert posterior(0.6, 1.3, 0.0) == pytest.approx(0.6, abs=1e-15)
     ts = np.linspace(0.0, 5.0, 50)
-    ps = posterior_array(0.6, 1.3, ts)
+    ps = posterior(0.6, 1.3, ts)
     assert np.all(np.diff(ps) < 0.0)
     assert ps[-1] > 0.0
-
-
-def test_posterior_array_matches_scalar(rng):
-    for _ in range(20):
-        p0 = rng.uniform(0.05, 0.95)
-        lam = rng.uniform(0.1, 3.0)
-        ts = rng.uniform(0.0, 6.0, size=7)
-        arr = posterior_array(p0, lam, ts)
-        for t, a in zip(ts, arr):
-            assert a == pytest.approx(posterior(p0, lam, t), rel=1e-14)
 
 
 def test_doing_time_roundtrip(rng):
@@ -132,7 +124,7 @@ def test_derivatives_match_finite_differences(model):
 def test_safe_arm_anchor():
     arm = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)
     assert arm.value(1.0) == pytest.approx(4.5 * (1 - math.exp(-1)), rel=1e-12)
-    assert progress_value_limit(arm) == pytest.approx(4.5, rel=1e-12)
+    assert arm.limit() == pytest.approx(4.5, rel=1e-12)
 
 
 def test_payoff_stream_anchor():
@@ -240,12 +232,69 @@ def test_model_from_dict_roundtrip():
                                   "B_nu": 5.0, "bogus": 3.0})
 
 
-def test_progress_value_array_matches_scalar_eval():
-    taus = np.linspace(0.0, 5.0, 40)
-    for model in ALL_MODELS:
-        arr = progress_value_array(model, taus)
-        ref = [progress_value(model, t) for t in taus]
-        np.testing.assert_allclose(arr, ref, rtol=1e-10, atol=1e-12)
+_REF_ARM = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)
+_TAB_TAUS = np.linspace(0.0, 8.0, 40)
+FIVE_FAMILIES = ALL_MODELS + [
+    Tabulated(taus=tuple(_TAB_TAUS), values=tuple(_REF_ARM.value(_TAB_TAUS)))]
+TAU_ARRAYS = arrays(np.float64, st.integers(1, 6),
+                    elements=st.floats(0.0, 6.0, allow_subnormal=False))
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _assert_scalar_float(x):
+    assert isinstance(x, float) and not isinstance(x, np.ndarray)
+    json.dumps(x)
+    assert "%.12g" % x
+
+
+def _assert_matches_elementwise(fn, taus):
+    out = fn(taus)
+    assert isinstance(out, np.ndarray) and out.shape == taus.shape
+    ref = []
+    for t in taus:
+        val = fn(float(t))
+        _assert_scalar_float(val)
+        ref.append(val)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("model", FIVE_FAMILIES, ids=lambda m: m.family)
+@PROPERTY
+@given(taus=TAU_ARRAYS)
+def test_value_array_matches_scalar_calls(model, order, taus):
+    _assert_matches_elementwise(lambda t: model.value(t, order), taus)
+    np.testing.assert_array_equal(progress_value_array(model, taus, order),
+                                  model.value(taus, order))
+
+
+@pytest.mark.parametrize("model", FIVE_FAMILIES, ids=lambda m: m.family)
+@PROPERTY
+@given(taus=TAU_ARRAYS)
+def test_hail_mary_belief_array_matches_scalar_calls(model, taus):
+    params = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=1.9)
+    _assert_matches_elementwise(lambda t: hail_mary_belief(params, model, t),
+                                taus)
+
+
+@PROPERTY
+@given(p0=st.floats(0.01, 0.99), lam=st.floats(0.05, 5.0), taus=TAU_ARRAYS)
+def test_posterior_array_matches_scalar_calls(p0, lam, taus):
+    _assert_matches_elementwise(lambda t: posterior(p0, lam, t), taus)
+
+
+@pytest.mark.parametrize("model", FIVE_FAMILIES, ids=lambda m: m.family)
+def test_value_rejects_bad_remaining_times(model):
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            model.value(bad)
+        with pytest.raises(ValueError):
+            model.value(np.array([0.5, bad]))
+    with pytest.raises(ValueError):
+        model.value(0.5, order=3)
+    with pytest.raises(ValueError):
+        posterior(0.5, 1.0, np.array([0.5, -0.1]))
 
 
 # ---------------------------------------------------------------------------

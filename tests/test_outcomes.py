@@ -163,8 +163,6 @@ def test_simulate_hopeless_arm(base_params):
     assert sim.success_rate <= 1e-4
     with pytest.raises(ValueError):
         SimConfig(reps=0)
-    with pytest.raises(ValueError):
-        SimConfig(reps=10, stream_policy="round-robin")
 
 
 def test_conversion_rate_resolution(safe_arm):
@@ -200,15 +198,6 @@ def test_sweep_survives_bad_points(base_params, safe_arm):
     assert rows[2]["structure"] == "DO_ONLY"
     with pytest.raises(ValueError):
         sweep(base_params, safe_arm, "lam", [0.5])
-
-
-def test_sweep_parallel_matches_serial(base_params, safe_arm):
-    grid = [1.0, 1.9, 4.0]
-    serial = sweep(base_params, safe_arm, "T", grid)
-    parallel = sweep(base_params, safe_arm, "T", grid, max_workers=3)
-    assert [r["grid_value"] for r in parallel] == grid
-    for a, b in zip(serial, parallel):
-        assert a == b
 
 
 def test_sweep_belief_crossing(base_params, safe_arm):

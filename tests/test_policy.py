@@ -29,6 +29,7 @@ from dblab import (
     hail_mary_time,
     initial_doing_span,
     known_arm_value,
+    posterior,
     preference_integral,
     preference_slope,
     solve,
@@ -401,6 +402,70 @@ def test_switching_profile_normalized_preference_concave_at_anchor(
     idx = np.where(inside)[0]
     d2 = y[idx + 1] - 2.0 * y[idx] + y[idx - 1]
     assert np.all(d2 <= 1e-12)
+
+
+def _scalar_loop_profile(params, model, sched, n_steps=4096):
+    """Reference for switching_profile: one point at a time, fourth-order
+    steps in remaining time, concavity flags from an explicit window."""
+    tau1, tau2, tau3 = sched.tau1, sched.tau2, sched.tau3
+    T, mu, lam, B, c = params.T, params.mu, params.lam, params.B, params.c
+    p_bar = params.p_bar
+
+    def doing_time_at(r):
+        if r <= tau3:
+            return tau1 + (tau3 - r)
+        return tau1 if r <= tau3 + tau2 else max(T - r, 0.0)
+
+    def eta_rate(r, active):
+        a = doing_time_at(r)
+        pre = math.exp(-mu * (T - r - a))
+        v = model.value(r)
+        return pre * (mu * (1 - p_bar) * ((1 - active) * mu * v - c)
+                      - (lam - mu) * p_bar * math.exp(-lam * a)
+                      * ((1 - active) * mu * v + active * lam * B - c))
+
+    grid, etas, cell_thinks, eta = [0.0], [0.0], [], 0.0
+    for lo, hi, active in ((0.0, tau3, 1.0), (tau3, tau3 + tau2, 0.0),
+                           (tau3 + tau2, T, 1.0)):
+        if hi <= lo:
+            continue
+        n = max(1, math.ceil((hi - lo) / (T / n_steps)))
+        h = (hi - lo) / n
+        for i in range(n):
+            t = lo + i * h
+            eta += h * (eta_rate(t, active) + 4.0 * eta_rate(t + 0.5 * h, active)
+                        + eta_rate(t + h, active)) / 6.0
+            grid.append(t + h)
+            etas.append(eta)
+            cell_thinks.append(active == 0.0)
+    y, slope = [], []
+    for t, e in zip(grid, etas):
+        a = doing_time_at(t)
+        q = posterior(p_bar, lam, a)
+        odds_mass = 1.0 - p_bar + p_bar * math.exp(-lam * a)
+        y.append(mu * model.value(t) - q * lam * B
+                 - e / (math.exp(-mu * (T - t - a)) * odds_mass))
+        slope.append(mu * model.value(t, 1) + q * mu * lam * (model.value(t) - B)
+                     + (mu - lam * q) * c)
+    flags = [0] * len(grid)
+    for i in range(1, len(grid) - 1):
+        if all(cell_thinks[i - 1:i + 2]):
+            drift = slope[i + 1] - slope[i - 1]
+            flags[i] = int(np.sign(drift)) if abs(drift) > 1e-12 else 0
+    return np.array(grid), np.array(y), np.array(flags)
+
+
+def test_switching_profile_matches_scalar_loop(base_params, safe_arm):
+    # 4096 float64 steps of size <= 1 on values below 10: the summation
+    # order alone moves y by at most about 4096 * 2.2e-16 * 10 < 1e-11
+    for T in (0.5, 1.9, 6.0):
+        params = dataclasses.replace(base_params, T=T)
+        sched = solve(params, safe_arm)
+        prof = switching_profile(params, safe_arm, sched)
+        grid, y, flags = _scalar_loop_profile(params, safe_arm, sched)
+        np.testing.assert_allclose(prof.grid, grid, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(prof.y_values, y, rtol=0.0, atol=1e-11)
+        np.testing.assert_array_equal(prof.concavity_flags, flags)
 
 
 def test_switching_profile_validation(base_params, safe_arm):

@@ -20,6 +20,7 @@ from dblab import (
     dp_reduced,
     extract_schedule,
     hail_mary_belief,
+    interval_taus,
     posterior,
     solve,
     solve_infinite_horizon,
@@ -108,6 +109,18 @@ def test_solve_profile_matches_structure(params_at, safe_arm):
         sched = solve(params, safe_arm)
         prof = switching_profile(params, safe_arm, sched)
         assert len(prof.sign_pattern) == intervals_by_structure[sched.structure]
+
+
+def test_solve_accepts_numpy_scalar_params(base_params, safe_arm):
+    params = ModelParams(*(np.float64(v)
+                           for v in dataclasses.astuple(base_params)))
+    sched = solve(params, safe_arm)
+    ref = solve(base_params, safe_arm)
+    assert sched.structure == ref.structure == THINK_DO
+    assert sched.no_shirk_ok is True
+    for got, want in zip((sched.tau1, sched.tau2, sched.tau3),
+                         (ref.tau1, ref.tau2, ref.tau3)):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_solve_no_shirk_flag(base_params, safe_arm):
@@ -271,12 +284,10 @@ def _dp_taus(dp, T):
     labels = [lab for _, _, lab in intervals]
     assert len(intervals) <= 3, f"unexpected interval pattern {labels}"
     assert all(lab in ("DO", "THINK") for lab in labels)
-    think = [(a, b) for a, b, lab in intervals if lab == "THINK"]
-    assert len(think) <= 1, f"split thinking period: {intervals}"
-    if not think:
-        return 0.0, 0.0, T
-    (a, b), = think
-    return a, b - a, T - b
+    assert labels.count("THINK") <= 1, f"split thinking period: {intervals}"
+    taus = interval_taus(intervals)
+    assert sum(taus) == pytest.approx(T, abs=1e-9)
+    return taus
 
 
 def test_solver_matches_dp_oracle_on_random_instances(rng):
