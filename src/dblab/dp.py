@@ -129,48 +129,28 @@ def _check_grid(grid: Grid) -> None:
 # shared backward recursion over the (k, m) triangle
 # ---------------------------------------------------------------------------
 
-def _step_q_matrix(actions: tuple, Q_do: np.ndarray, Q_th: np.ndarray,
-                   Q_idle: np.ndarray) -> np.ndarray:
-    cols = []
-    for a in actions:
-        if a == ACTION_DO:
-            cols.append(Q_do)
-        elif a == ACTION_THINK:
-            cols.append(Q_th)
-        elif a == ACTION_IDLE:
-            cols.append(Q_idle)
-        else:  # interior mix: randomize between the pure branches
-            cols.append(a * Q_do + (1.0 - a) * Q_th)
-    return np.vstack(cols)
-
-
-def _triangle_recursion(N: int, actions: tuple, step_values, keep_values: bool):
-    """Backward pass over the triangle.
+def _backward_rows(N: int, actions: tuple, step_values):
+    """The backward recursion, written once.
 
     ``step_values(k, W_prev)`` must return (Q_do, Q_th) arrays of length
-    N - k + 1 given the previous value row.  Returns value rows (optional),
-    policy rows, tie rows, and the final rolling row.
+    N - k + 1 given the previous value row.  For k = 1..N this yields the
+    list of Q rows, one per action in ``actions`` order, and their
+    elementwise maximum, the value row.  DO and THINK lead every canonical
+    action set, so the first two Q rows are theirs.
     """
     W = np.zeros(N + 1)
-    value_rows = [W.copy()] if keep_values else None
-    policy_rows: list = [np.zeros(0, dtype=np.int8)]
-    tie_rows: list = [np.zeros(0, dtype=np.uint8)]
     for k in range(1, N + 1):
         M = N - k
         Q_do, Q_th = step_values(k, W)
-        Q_idle = W[:M + 1]
-        stack = _step_q_matrix(actions, Q_do, Q_th, Q_idle)
-        W_new = stack.max(axis=0)
-        best = stack.argmax(axis=0).astype(np.int8)
-        ties = np.zeros(M + 1, dtype=np.uint8)
-        for i in range(len(actions)):
-            ties |= (stack[i] >= W_new - _TIE_TOL).astype(np.uint8) << i
-        policy_rows.append(best)
-        tie_rows.append(ties)
-        W[:M + 1] = W_new
-        if keep_values:
-            value_rows.append(W[:M + 1].copy())
-    return value_rows, policy_rows, tie_rows, W
+        pure = {ACTION_DO: Q_do, ACTION_THINK: Q_th, ACTION_IDLE: W[:M + 1]}
+        # an interior mix randomizes between the pure branches
+        qs = [pure[a] if isinstance(a, str) else a * Q_do + (1.0 - a) * Q_th
+              for a in actions]
+        row = np.maximum(qs[0], qs[1])
+        for q in qs[2:]:
+            np.maximum(row, q, out=row)
+        yield qs, row
+        W[:M + 1] = row
 
 
 def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
@@ -196,17 +176,11 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
 
 def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray,
                      step_values) -> np.ndarray:
-    """Second rolling pass recording Q_think - Q_do at every path state."""
+    """Second pass recording Q_think - Q_do at every path state."""
     gaps = np.zeros(N)
-    W = np.zeros(N + 1)
-    for k in range(1, N + 1):
-        M = N - k
-        Q_do, Q_th = step_values(k, W)
-        j = N - k
-        m = path_m[j]
-        gaps[j] = Q_th[m] - Q_do[m]
-        stack = _step_q_matrix(actions, Q_do, Q_th, W[:M + 1])
-        W[:M + 1] = stack.max(axis=0)
+    for k, (qs, _) in enumerate(_backward_rows(N, actions, step_values), 1):
+        m = path_m[N - k]
+        gaps[N - k] = qs[1][m] - qs[0][m]
     return gaps
 
 
@@ -300,47 +274,73 @@ def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
     return tuple(intervals)
 
 
-def _assemble(grid: Grid, actions: tuple, step_values, keep_values: bool
-              ) -> DPSolution:
+def _assemble(grid: Grid, step_values, keep_values: bool) -> DPSolution:
+    """Tables, no-arrival path and switch times of one oracle run.  The
+    policy is the first action, in ``action_set`` order, that attains the
+    row value; the tie bits flag every action within tolerance of it."""
     N = grid.n_steps
-    value_rows, policy_rows, tie_rows, W = _triangle_recursion(
-        N, actions, step_values, keep_values)
-    root = float(W[0])
+    actions = grid.action_set
+    row = np.zeros(N + 1)  # k = 0: no time left, no value
+    value_rows = [row] if keep_values else None
+    policy_rows: list = [np.zeros(0, dtype=np.int8)]
+    tie_rows: list = [np.zeros(0, dtype=np.uint8)]
+    for qs, row in _backward_rows(N, actions, step_values):
+        floor = row - _TIE_TOL
+        best = np.zeros(row.size, dtype=np.int8)
+        ties = np.zeros(row.size, dtype=np.uint8)
+        for i in range(len(qs) - 1, -1, -1):
+            best[qs[i] == row] = i
+            ties |= (qs[i] >= floor).astype(np.uint8) << i
+        policy_rows.append(best)
+        tie_rows.append(ties)
+        if keep_values:
+            value_rows.append(row)
     path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows,
                                                  tie_rows)
     gaps = _gaps_along_path(N, actions, path_m, step_values)
-    sol = DPSolution(grid=grid, root_value=root, action_names=actions,
-                     policy_rows=policy_rows, tie_rows=tie_rows,
-                     path_actions=path_actions, path_m=path_m,
-                     path_gaps=gaps, switch_times=(),
-                     value_rows=value_rows)
-    sol.switch_times = _intervals_from_path(grid, actions, path_actions, gaps)
-    return sol
+    return DPSolution(
+        grid=grid, root_value=float(row[0]), action_names=actions,
+        policy_rows=policy_rows, tie_rows=tie_rows, path_actions=path_actions,
+        path_m=path_m, path_gaps=gaps,
+        switch_times=_intervals_from_path(grid, actions, path_actions, gaps),
+        value_rows=value_rows)
 
 
 # ---------------------------------------------------------------------------
 # oracle variants
 # ---------------------------------------------------------------------------
 
-def _lump_step_values(params: ModelParams, grid: Grid, lump: np.ndarray):
-    """Q-value rows of the reduced recursion: a thinking arrival in the
-    step with k steps remaining pays ``lump[k - 1]``; a doing arrival pays
-    ``B``."""
+def _step_values(agent, grid: Grid, think):
+    """Q-value rows of the triangle recursion for an agent with ``p_bar``,
+    ``lam``, ``c`` and ``B``.  A doing arrival pays ``B`` with the
+    posterior-weighted probability; ``think(k)`` gives the chance of a
+    thinking arrival with k steps remaining (a scalar, or an array over the
+    doing steps m) and what that arrival pays."""
     N = grid.n_steps
     dt = grid.dt
-    p_vec = posterior(params.p_bar, params.lam, dt * np.arange(N + 1))
-    q_do = -math.expm1(-params.lam * dt)
-    q_th = -math.expm1(-params.mu * dt)
-    cost = params.c * dt
+    p_vec = posterior(agent.p_bar, agent.lam, dt * np.arange(N + 1))
+    q_do = -math.expm1(-agent.lam * dt)
+    cost = agent.c * dt
 
     def step_values(k: int, W: np.ndarray):
         M = N - k
         s_do = p_vec[:M + 1] * q_do
-        Q_do = -cost + s_do * params.B + (1.0 - s_do) * W[1:M + 2]
-        Q_th = -cost + q_th * lump[k - 1] + (1.0 - q_th) * W[:M + 1]
+        s_th, pay = think(k)
+        Q_do = -cost + s_do * agent.B + (1.0 - s_do) * W[1:M + 2]
+        Q_th = -cost + s_th * pay + (1.0 - s_th) * W[:M + 1]
         return Q_do, Q_th
 
     return step_values
+
+
+def _lump_oracle(params: ModelParams, grid: Grid, lump: np.ndarray,
+                 keep_values: bool) -> DPSolution:
+    """A thinking arrival in the step with k steps remaining pays
+    ``lump[k - 1]``."""
+    q_th = -math.expm1(-params.mu * grid.dt)
+    return _assemble(grid, _step_values(params, grid,
+                                        lambda k: (q_th, lump[k - 1])),
+                     keep_values)
 
 
 def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
@@ -350,8 +350,7 @@ def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
     _check_grid(grid)
     lump = progress_value_array(
         model, (np.arange(1, grid.n_steps + 1) - 0.5) * grid.dt)
-    return _assemble(grid, grid.action_set,
-                     _lump_step_values(params, grid, lump), keep_values)
+    return _lump_oracle(params, grid, lump, keep_values)
 
 
 def _stage2_entry_values(params: ModelParams, stage2: ProgressModel,
@@ -396,8 +395,7 @@ def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
     _check_grid(grid)
     entry = _stage2_entry_values(params, stage2, grid)
     lump = 0.5 * (entry[:-1] + entry[1:])
-    return _assemble(grid, grid.action_set,
-                     _lump_step_values(params, grid, lump), keep_values)
+    return _lump_oracle(params, grid, lump, keep_values)
 
 
 def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
@@ -415,22 +413,11 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
         grid = Grid.from_horizon(T, dt)
     _check_grid(grid)
     N = grid.n_steps
-    dt = grid.dt
-    actions = grid.action_set
-    p_vec = posterior(nf.p_bar, nf.lam, dt * np.arange(N + 1))
-    q_do = -math.expm1(-nf.lam * dt)
-    cost = nf.c * dt
-    # survival of the thinking pipeline after j thinking steps
-    surv = 1.0 - np.asarray(no_solution_prob(nf, dt * np.arange(N + 2)))
-
-    def step_values(k: int, W: np.ndarray):
-        M = N - k
-        m = np.arange(M + 1)
-        th_steps = M - m  # thinking steps used so far at (k, m)
-        s_th = 1.0 - surv[th_steps + 1] / surv[th_steps]
-        s_do = p_vec[:M + 1] * q_do
-        Q_do = -cost + s_do * nf.B + (1.0 - s_do) * W[1:M + 2]
-        Q_th = -cost + s_th * nf.B + (1.0 - s_th) * W[:M + 1]
-        return Q_do, Q_th
-
-    return _assemble(grid, actions, step_values, keep_values)
+    # survival of the thinking pipeline after j thinking steps, and the
+    # chance that step j + 1 delivers given that the first j did not
+    surv = 1.0 - no_solution_prob(nf, grid.dt * np.arange(N + 2))
+    arrive = 1.0 - surv[1:] / surv[:-1]
+    # at (k, m) the agent has thought for N - k - m steps
+    return _assemble(grid, _step_values(nf, grid,
+                                        lambda k: (arrive[N - k::-1], nf.B)),
+                     keep_values)

@@ -377,17 +377,30 @@ class Tabulated(ProgressModel):
         _require(bool(np.all(np.diff(v) >= 0.0)), "values must be nondecreasing")
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(np.asarray(self.taus, dtype=float),
-                                 np.asarray(self.values, dtype=float))
+    def _curves(self) -> tuple:
+        """V, V' and V'' as interpolants, built once."""
+        v = PchipInterpolator(np.asarray(self.taus, dtype=float),
+                              np.asarray(self.values, dtype=float))
+        return v, v.derivative(1), v.derivative(2)
+
+    @cached_property
+    def _flat_tail(self) -> bool:
+        return abs(self.values[-1] - self.values[-2]) < 1e-8
 
     def value(self, tau, order: int = 0):
-        xp = _checked_ops(tau, order, top=self.taus[-1])
-        curve = self._interp if order == 0 else self._interp.derivative(order)
-        return curve(tau) if xp is np else float(curve(tau))
+        """Past the last knot a flat tail extends flat (V stays at its last
+        value, V' = V'' = 0); any other tail admits no tau beyond it."""
+        end = self.taus[-1]
+        xp = _checked_ops(tau, order, top=(sys.float_info.max
+                                           if self._flat_tail else end))
+        curve = self._curves[order]
+        past = float(self.values[-1]) if order == 0 else 0.0
+        if xp is np:
+            return np.where(tau > end, past, curve(np.minimum(tau, end)))
+        return past if tau > end else float(curve(tau))
 
     def limit(self) -> float:
-        if abs(self.values[-1] - self.values[-2]) >= 1e-8:
+        if not self._flat_tail:
             raise ValueError(
                 "tabulated grid is not flattened at the tail; cannot read "
                 "off the no-deadline value")

@@ -16,7 +16,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import ModelParams, ModelValidationError, ProgressModel, _as_taus
 from .solver import SolverError, solve
@@ -119,35 +118,20 @@ def expected_work_time(schedule, params: ModelParams, nu: float) -> float:
     tau1, tau2, tau3 = _as_taus(schedule)
     p_bar, lam, mu = params.p_bar, params.lam, params.mu
     pref = p_bar * math.exp(-lam * tau1) + 1.0 - p_bar
-
-    def survive_phase1(t: float) -> float:
-        return p_bar * math.exp(-lam * t) + 1.0 - p_bar
-
+    # each phase integrates a sum of exponentials (and u*e^{-mu*u} at mu=nu)
+    phase1 = -p_bar * math.expm1(-lam * tau1) / lam + (1.0 - p_bar) * tau1
     if _rates_close(mu, nu):
-        def pipeline_alive(u: float) -> float:
-            return (1.0 + mu * u) * math.exp(-mu * u)
+        alive2 = (-2.0 * math.expm1(-mu * tau2)
+                  - mu * tau2 * math.exp(-mu * tau2)) / mu
     else:
-        def pipeline_alive(u: float) -> float:
-            return ((mu * math.exp(-nu * u) - nu * math.exp(-mu * u))
-                    / (mu - nu))
-
-    c_pro = _pending_conversion_weight(mu, nu, tau2)
-    decay2 = math.exp(-mu * tau2)
-
-    def survive_phase3(u2: float) -> float:
-        no_progress = decay2 * (p_bar * math.exp(-lam * (tau1 + u2))
-                                + 1.0 - p_bar)
-        pending = pref * c_pro * math.exp(-nu * u2)
-        return no_progress + pending
-
-    total = 0.0
-    if tau1 > 0.0:
-        total += quad(survive_phase1, 0.0, tau1, epsabs=1e-10)[0]
-    if tau2 > 0.0:
-        total += pref * quad(pipeline_alive, 0.0, tau2, epsabs=1e-10)[0]
-    if tau3 > 0.0:
-        total += quad(survive_phase3, 0.0, tau3, epsabs=1e-10)[0]
-    return total
+        alive2 = (-mu * math.expm1(-nu * tau2) / nu
+                  + nu * math.expm1(-mu * tau2) / mu) / (mu - nu)
+    phase3 = (math.exp(-mu * tau2)
+              * (-p_bar * math.exp(-lam * tau1) * math.expm1(-lam * tau3) / lam
+                 + (1.0 - p_bar) * tau3)
+              - pref * _pending_conversion_weight(mu, nu, tau2)
+              * math.expm1(-nu * tau3) / nu)
+    return phase1 + pref * alive2 + phase3
 
 
 def backload(schedule) -> Schedule:

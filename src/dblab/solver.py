@@ -38,27 +38,11 @@ from .policy import (
 DO_ONLY = "DO_ONLY"
 THINK_DO = "THINK_DO"
 DO_THINK_DO = "DO_THINK_DO"
+DO_THROUGHOUT = "DO_THROUGHOUT"
 
 
 class SolverError(RuntimeError):
     """The schedule search failed; the message reports the failed bracket."""
-
-
-class _DoThroughout:
-    """Sentinel: the zero-cost benchmark never leaves the doing arm."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "DO_THROUGHOUT"
-
-
-DO_THROUGHOUT = _DoThroughout()
 
 
 @dataclass(frozen=True)
@@ -282,7 +266,7 @@ def solve_infinite_horizon(params: ModelParams,
     p_hat = (params.c / params.lam) / denom
     if p_hat <= 0.0:
         return InfiniteHorizonPlan(
-            0.0, math.inf, "DO_THROUGHOUT",
+            0.0, math.inf, DO_THROUGHOUT,
             note="doing always preferred: effort is free")
     if p_hat >= 1.0:
         return InfiniteHorizonPlan(
@@ -296,14 +280,14 @@ def solve_infinite_horizon(params: ModelParams,
 
 
 def solve_no_cost(params: ModelParams, model: ProgressModel,
-                  n_scan: int = 1024) -> Union[float, _DoThroughout]:
+                  n_scan: int = 1024) -> Union[float, str]:
     """Costless benchmark: the first horizon at which the prior crosses the
     boundary curve, under the convention that effort is free and progress
     is eventually worth the full reward.
 
     The cost is forced to zero regardless of ``params.c``; the model must
     satisfy V(inf) = B.  Returns the smallest root in (0, T], or the
-    DO_THROUGHOUT sentinel when there is none.
+    DO_THROUGHOUT constant when there is none.
     """
     vinf = model.limit()
     if abs(vinf - params.B) > 1e-8 * max(1.0, params.B):

@@ -6,6 +6,7 @@ are pinned verbatim: downstream plotting depends on them.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,23 @@ def test_verify_do_only_config_passes(config_path, tmp_path):
     assert report["pass"] is True
     assert report["solver"] == [0.0, 0.0, 0.5]
     assert report["oracle"] == pytest.approx([0.0, 0.0, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 1.9, 4.0])
+def test_tabulated_flat_tail_solves_and_verifies(tmp_path, T):
+    # 61 knots on [0, 15], flat after tau=14: the solver's root searches
+    # run past the last knot, where the flat tail extends
+    taus = [15.0 * i / 60 for i in range(61)]
+    values = [-4.5 * math.expm1(-min(tau, 14.0)) for tau in taus]
+    path = tmp_path / "tabulated.json"
+    path.write_text(json.dumps({
+        "agent": {**BASE_CONFIG["agent"], "T": T},
+        "model": {"family": "Tabulated", "taus": taus, "values": values}}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path),
+               "--dt", "1e-3"])
+    assert rc == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["pass"] is True
 
 
 def test_verify_rejects_coarse_grid(config_path, tmp_path):

@@ -2,7 +2,10 @@
 robustness, switch-time convergence, the explicit two-stage variant, and
 the unobserved-progress variant."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from dblab import (
     solve,
     validate_model,
 )
-from dblab.dp import ACTION_DO, ACTION_IDLE, ACTION_THINK
+from dblab.dp import ACTION_DO, ACTION_IDLE, ACTION_THINK, _assemble
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "dp"
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +245,102 @@ def test_unvalidated_model_shows_second_thinking_block():
                     keep_values=False)
     blocks = [lab for _, _, lab in majority_intervals(dp, window=0.2)]
     assert blocks == [ACTION_THINK, ACTION_DO, ACTION_THINK, ACTION_DO]
+
+
+# ---------------------------------------------------------------------------
+# pinned oracle outputs: exact goldens and the tie rule
+# ---------------------------------------------------------------------------
+
+def _golden_cases() -> dict:
+    """Name -> zero-argument call of one oracle run."""
+    params = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=1.9)
+    safe = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)
+    rich = (ACTION_DO, ACTION_THINK, ACTION_IDLE, 0.25, 0.5, 0.75)
+    crit9 = ModelParams(p_bar=0.8, lam=1.0, mu=0.4, c=0.5, B=9.0, T=6.0)
+    at4 = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=4.0)
+    risky = RiskyArm(p_bar_nu=0.8, nu=1.0, B_nu=5.0, c_nu=0.3)
+    generic = NoFeedbackModel(mu=1.0, nu=0.6, B=5.0, c=0.5, p_bar=0.75,
+                              lam=0.75)
+    limit = NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75,
+                            lam=0.75, limit_mode=True)
+    return {
+        "reduced_kept": lambda: dp_reduced(
+            at4, safe, Grid.from_horizon(4.0, 1e-3)),
+        "reduced_rich": lambda: dp_reduced(
+            params, safe, Grid.from_horizon(1.9, 2e-3, rich)),
+        "two_stage_safe": lambda: dp_two_stage(
+            crit9, SafeArm(nu=0.5, B_nu=10.25, c_nu=0.0),
+            Grid.from_horizon(6.0, 2e-3)),
+        "two_stage_risky": lambda: dp_two_stage(
+            at4, risky, Grid.from_horizon(4.0, 2e-3)),
+        "no_feedback": lambda: dp_no_feedback(generic, 6.0),
+        "no_feedback_limit": lambda: dp_no_feedback(limit, 6.0),
+    }
+
+
+def _sha256(rows) -> str:
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(np.ascontiguousarray(row).tobytes())
+    return digest.hexdigest()
+
+
+def _fingerprint(dp) -> dict:
+    """Exact record of one oracle run: root value, switch intervals, and
+    hashes of the preference gaps and of the kept tables' bytes."""
+    tables = list(dp.policy_rows) + list(dp.tie_rows)
+    if dp.value_rows is not None:
+        tables += list(dp.value_rows)
+    return {
+        "root_value": repr(dp.root_value),
+        "switch_times": [list(iv) for iv in dp.switch_times],
+        "path_gaps_sha256": _sha256([dp.path_gaps]),
+        "values_kept": dp.value_rows is not None,
+        "tables_sha256": _sha256(tables),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_golden_cases()))
+def test_oracle_matches_golden(name):
+    dp = _golden_cases()[name]()
+    assert all(r.dtype == np.int8 for r in dp.policy_rows)
+    assert all(r.dtype == np.uint8 for r in dp.tie_rows)
+    assert dp.value_rows is None or all(r.dtype == np.float64
+                                        for r in dp.value_rows)
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert _fingerprint(dp) == want
+
+
+def test_tie_goes_to_first_action_with_both_bits_set():
+    # identical DO and THINK rows at every state: the first action in
+    # action-set order is chosen and both are flagged as tied
+    grid = Grid(1e-3, 6, (ACTION_THINK, ACTION_DO))
+
+    def step_values(k, W):
+        row = 1.0 + W[:grid.n_steps - k + 1]
+        return row, row.copy()
+
+    dp = _assemble(grid, step_values, False)
+    assert grid.action_set[0] == ACTION_DO
+    for k in range(1, grid.n_steps + 1):
+        assert np.all(dp.policy_rows[k] == 0)
+        assert np.all(dp.tie_rows[k] == 0b11)
+    assert dp.root_value == 6.0
+    assert set(dp.path_action_labels()) == {ACTION_DO}
+
+
+def _write_goldens() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, run in _golden_cases().items():
+        fields = _fingerprint(run())
+        intervals = ",\n  ".join(json.dumps(iv)
+                                  for iv in fields.pop("switch_times"))
+        lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in fields.items()]
+        lines.append(f' "switch_times": [\n  {intervals}\n ]')
+        (GOLDEN_DIR / f"{name}.json").write_text(
+            "{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    # regenerate the goldens: PYTHONPATH=src python tests/test_dp.py
+    _write_goldens()

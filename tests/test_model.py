@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 from dblab import (
     ModelParams,
@@ -198,6 +199,33 @@ def test_tabulated_matches_sampled_model():
         assert tab.value(tau) == pytest.approx(arm.value(tau), abs=2e-4)
     with pytest.raises(ValueError):
         tab.value(9.0)
+
+
+def test_tabulated_flat_tail_extends_past_last_knot():
+    taus = np.linspace(0.0, 15.0, 61)
+    values = -4.5 * np.expm1(-np.minimum(taus, 14.0))
+    tab = Tabulated(taus=tuple(taus), values=tuple(values))
+    assert tab.value(27.87) == tab.limit() == values[-1]
+    assert tab.value(27.87, 1) == 0.0 and tab.value(27.87, 2) == 0.0
+    grid = np.array([3.0, 15.0, 15.5, 40.0])
+    for order in (0, 1, 2):
+        out = tab.value(grid, order)
+        assert [tab.value(float(t), order) for t in grid] == list(out)
+        assert out[0] == tab.value(3.0, order)
+    with pytest.raises(ValueError):
+        tab.value(math.inf)
+
+
+def test_tabulated_derivatives_match_fresh_interpolant():
+    taus = np.linspace(0.0, 8.0, 60)
+    values = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5).value(taus)
+    tab = Tabulated(taus=tuple(taus), values=tuple(values))
+    fresh = PchipInterpolator(taus, values)
+    probe = np.array([0.0, 0.3, 1.7, 4.2, 8.0])
+    for order in (0, 1, 2):
+        curve = fresh if order == 0 else fresh.derivative(order)
+        assert np.array_equal(tab.value(probe, order), curve(probe))
+        assert tab.value(1.7, order) == float(curve(1.7))
 
 
 def test_tabulated_construction_guards():

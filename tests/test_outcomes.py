@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dblab import (
     OutcomeSummary,
@@ -83,6 +84,46 @@ def test_equal_rates_branch_is_continuous(base_params):
                 == pytest.approx(expected_work_time(SCHED, base_params,
                                                     base_params.mu),
                                  abs=1e-6))
+
+
+def _work_time_by_quadrature(taus, params, nu):
+    """The integral of the no-solution probability over each phase, by
+    quadrature: the reference for the closed form."""
+    tau1, tau2, tau3 = taus
+    p_bar, lam, mu = params.p_bar, params.lam, params.mu
+    pref = p_bar * math.exp(-lam * tau1) + 1.0 - p_bar
+    if abs(mu - nu) <= 1e-9 * max(mu, nu):
+        def alive(u):
+            return (1.0 + mu * u) * math.exp(-mu * u)
+        pending = mu * tau2 * math.exp(-mu * tau2)
+    else:
+        def alive(u):
+            return (mu * math.exp(-nu * u) - nu * math.exp(-mu * u)) / (mu - nu)
+        pending = (mu * (math.exp(-mu * tau2) - math.exp(-nu * tau2))
+                   / (nu - mu))
+
+    def phase3(u):
+        return (math.exp(-mu * tau2)
+                * (p_bar * math.exp(-lam * (tau1 + u)) + 1.0 - p_bar)
+                + pref * pending * math.exp(-nu * u))
+
+    return (quad(lambda t: p_bar * math.exp(-lam * t) + 1.0 - p_bar,
+                 0.0, tau1, epsabs=1e-13)[0]
+            + pref * quad(alive, 0.0, tau2, epsabs=1e-13)[0]
+            + quad(phase3, 0.0, tau3, epsabs=1e-13)[0])
+
+
+@pytest.mark.parametrize("equal_rates", [False, True])
+def test_expected_work_matches_quadrature(base_params, rng, equal_rates):
+    for _ in range(200):
+        params = dataclasses.replace(
+            base_params, p_bar=rng.uniform(0.05, 0.95),
+            lam=rng.uniform(0.1, 5.0), mu=rng.uniform(0.1, 5.0))
+        nu = params.mu if equal_rates else rng.uniform(0.1, 5.0)
+        taus = tuple(rng.uniform(0.0, 4.0, size=3))
+        want = _work_time_by_quadrature(taus, params, nu)
+        assert expected_work_time(taus, params, nu) == pytest.approx(
+            want, rel=1e-11)
 
 
 def test_expected_work_closed_forms(base_params):
