@@ -33,8 +33,10 @@ ACTION_DO = "DO"
 ACTION_THINK = "THINK"
 ACTION_IDLE = "IDLE"
 
-_MAX_STEPS = 20000
 _TIE_TOL = 1e-12
+# what one oracle run may keep: its policy, tie and (kept) value rows
+# and the checkpoint rows of its gap pass
+_BYTE_BUDGET = 1 << 30
 
 
 class CoarseGridError(ValueError):
@@ -116,41 +118,87 @@ class DPSolution:
         return [self.action_names[a] for a in self.path_actions]
 
 
-def _check_grid(grid: Grid) -> None:
+def _checkpoint_stride(N: int) -> int:
+    """The gap pass keeps every S-th value row, about N^1.5 / 2 cells, and
+    rebuilds the rows between them in S steps."""
+    return max(1, math.isqrt(N))
+
+
+def _check_grid(grid: Grid, keep_values: bool) -> None:
     if grid.dt > 0.01:
         raise CoarseGridError(
             f"grid too coarse: dt={grid.dt} exceeds the 0.01 cap")
-    if grid.n_steps > _MAX_STEPS:
+    N = grid.n_steps
+    S = _checkpoint_stride(N)
+    n_checkpoints = -(-N // S)  # rows k = 0, S, 2S, ... below N
+    need = (2 * (N * (N + 1) // 2)  # policy and tie rows, 1 byte a cell each
+            + 8 * (n_checkpoints * (N + 1)
+                   - S * n_checkpoints * (n_checkpoints - 1) // 2))
+    if keep_values:
+        need += 8 * ((N + 1) * (N + 2) // 2)
+    if need > _BYTE_BUDGET:
+        fix = ("pass keep_values=False (2 bytes a cell instead of 10)"
+               if keep_values else "use fewer steps")
         raise ValueError(
-            f"state-space guard: n_steps={grid.n_steps} exceeds {_MAX_STEPS}")
+            f"memory budget: n_steps={N} would keep {need} bytes of tables, "
+            f"over the {_BYTE_BUDGET}-byte budget; {fix}")
 
 
 # ---------------------------------------------------------------------------
 # shared backward recursion over the (k, m) triangle
 # ---------------------------------------------------------------------------
 
-def _backward_rows(N: int, actions: tuple, step_values):
-    """The backward recursion, written once.
+def _action_values(W: np.ndarray, coef: tuple, actions: tuple,
+                   q_do: np.ndarray, q_th: np.ndarray) -> list:
+    """The one Q builder: Q of every action, in ``actions`` order, on the
+    cells that the buffers ``q_do`` and ``q_th`` cover, from the previous
+    value row W (or a stack of row windows, one per row of a 2-D W).
 
-    ``step_values(k, W_prev)`` must return (Q_do, Q_th) arrays of length
-    N - k + 1 given the previous value row.  For k = 1..N this yields the
-    list of Q rows, one per action in ``actions`` order, and their
-    elementwise maximum, the value row.  DO and THINK lead every canonical
-    action set, so the first two Q rows are theirs.
-    """
-    W = np.zeros(N + 1)
+    ``coef = (a_do, b_do, a_th, b_th)`` makes each pure Q affine in the
+    next state's value: DO moves to m + 1 (``b_do * W[m+1] + a_do``), THINK
+    and IDLE stay at m, and an interior mix randomizes between DO and
+    THINK.  DO and THINK lead every canonical action set."""
+    a_do, b_do, a_th, b_th = coef
+    n = q_do.shape[-1]
+    np.multiply(b_do, W[..., 1:n + 1], out=q_do)
+    np.add(q_do, a_do, out=q_do)
+    np.multiply(b_th, W[..., :n], out=q_th)
+    np.add(q_th, a_th, out=q_th)
+    pure = {ACTION_DO: q_do, ACTION_THINK: q_th, ACTION_IDLE: W[..., :n]}
+    return [pure[a] if isinstance(a, str) else a * q_do + (1.0 - a) * q_th
+            for a in actions]
+
+
+def _best_action(qs: list, row: np.ndarray, best: np.ndarray) -> None:
+    """The one action reduction: ``row`` gets the elementwise maximum of
+    the Q arrays and ``best`` the first action, in list order, that
+    attains it (``argmax``'s rule): an action takes over only where it is
+    strictly above the running maximum."""
+    np.maximum(qs[0], qs[1], out=row)
+    np.less(qs[0], qs[1], out=best.view(bool))
+    for i, q in enumerate(qs[2:], 2):
+        np.copyto(best, i, where=row < q)
+        np.maximum(row, q, out=row)
+
+
+def _backward_rows(N: int, actions: tuple, coef):
+    """The backward recursion over full rows.
+
+    ``coef(k, m)`` returns the affine coefficients of `_action_values` at
+    k steps remaining on the doing counts m (a slice here).  For k = 1..N
+    this yields k, the Q rows, the value row and a new policy row.  The
+    value row alternates between two buffers, so it is valid only until
+    the next row is built."""
+    W, nxt = np.zeros(N + 1), np.empty(N + 1)
+    q_do, q_th = np.empty(N), np.empty(N)
     for k in range(1, N + 1):
-        M = N - k
-        Q_do, Q_th = step_values(k, W)
-        pure = {ACTION_DO: Q_do, ACTION_THINK: Q_th, ACTION_IDLE: W[:M + 1]}
-        # an interior mix randomizes between the pure branches
-        qs = [pure[a] if isinstance(a, str) else a * Q_do + (1.0 - a) * Q_th
-              for a in actions]
-        row = np.maximum(qs[0], qs[1])
-        for q in qs[2:]:
-            np.maximum(row, q, out=row)
-        yield qs, row
-        W[:M + 1] = row
+        n = N - k + 1
+        qs = _action_values(W, coef(k, np.s_[:n]), actions, q_do[:n],
+                            q_th[:n])
+        row, best = nxt[:n], np.empty(n, dtype=np.int8)
+        _best_action(qs, row, best)
+        yield k, qs, row, best
+        W, nxt = nxt, W
 
 
 def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
@@ -174,13 +222,46 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
     return path_actions, path_m
 
 
-def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray,
-                     step_values) -> np.ndarray:
-    """Second pass recording Q_think - Q_do at every path state."""
+def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
+                     checkpoints: list, S: int) -> np.ndarray:
+    """Q_think - Q_do at every path state, rebuilt from the value rows
+    k = 0, S, 2S, ... kept by the first pass.
+
+    Segment s rebuilds rows c+1..c+S from checkpoint row c = s*S, but only
+    on the window of m that its path states depend on: the path's m range
+    over the segment plus S + 1.  All segments advance together as one 2-D
+    array, so the pass takes S vectorized steps.  Every path state reads
+    the same operands as in the first pass, so its gap is bit-identical;
+    cells outside the triangle read clipped coefficients and are never
+    read by a cell inside it."""
     gaps = np.zeros(N)
-    for k, (qs, _) in enumerate(_backward_rows(N, actions, step_values), 1):
-        m = path_m[N - k]
-        gaps[N - k] = qs[1][m] - qs[0][m]
+    if N == 0:
+        return gaps
+    c = np.arange(0, N, S)  # each segment's checkpoint row
+    # m never falls along the path (j = N - k), so a segment's path states
+    # span m from lo, at its last row, to hi, at its first row c + 1
+    lo = path_m[N - np.minimum(c + S, N)]
+    hi = path_m[N - 1 - c]
+    w = int((hi - lo).max()) + S + 1
+    V = np.zeros((c.size, w))
+    for s, row in enumerate(checkpoints):
+        part = row[lo[s]:lo[s] + w]
+        V[s, :part.size] = part
+    nxt, q_do, q_th = np.empty_like(V), np.empty_like(V), np.empty_like(V)
+    best = np.empty(V.shape, dtype=np.int8)
+    m = lo[:, None] + np.arange(w)
+    segments = np.arange(c.size)
+    for t in range(1, S + 1):
+        n = w - t
+        k = np.minimum(c[:, None] + t, N)
+        qs = _action_values(V, coef(k, np.minimum(m[:, :n], N - k)), actions,
+                            q_do[:, :n], q_th[:, :n])
+        _best_action(qs, nxt[:, :n], best[:, :n])
+        live = c + t <= N  # the last segment may be partial
+        j = N - t - c[live]
+        i = path_m[j] - lo[live]
+        gaps[j] = qs[1][segments[live], i] - qs[0][segments[live], i]
+        V, nxt = nxt, V
     return gaps
 
 
@@ -274,30 +355,39 @@ def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
     return tuple(intervals)
 
 
-def _assemble(grid: Grid, step_values, keep_values: bool) -> DPSolution:
+def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
     """Tables, no-arrival path and switch times of one oracle run.  The
     policy is the first action, in ``action_set`` order, that attains the
     row value; the tie bits flag every action within tolerance of it."""
     N = grid.n_steps
     actions = grid.action_set
+    S = _checkpoint_stride(N)
     row = np.zeros(N + 1)  # k = 0: no time left, no value
+    checkpoints = [row]
     value_rows = [row] if keep_values else None
     policy_rows: list = [np.zeros(0, dtype=np.int8)]
     tie_rows: list = [np.zeros(0, dtype=np.uint8)]
-    for qs, row in _backward_rows(N, actions, step_values):
-        floor = row - _TIE_TOL
-        best = np.zeros(row.size, dtype=np.int8)
-        ties = np.zeros(row.size, dtype=np.uint8)
-        for i in range(len(qs) - 1, -1, -1):
-            best[qs[i] == row] = i
-            ties |= (qs[i] >= floor).astype(np.uint8) << i
+    floor, above = np.empty(N), np.empty(N, dtype=np.uint8)
+    above_bool = above.view(bool)
+    weights = [np.uint8(1 << i) for i in range(len(actions))]
+    for k, qs, row, best in _backward_rows(N, actions, coef):
+        n = row.size
+        np.subtract(row, _TIE_TOL, out=floor[:n])
+        ties = np.empty(n, dtype=np.uint8)
+        np.greater_equal(qs[0], floor[:n], out=ties.view(bool))
+        for i in range(1, len(qs)):
+            np.greater_equal(qs[i], floor[:n], out=above_bool[:n])
+            np.multiply(above[:n], weights[i], out=above[:n])
+            np.bitwise_or(ties, above[:n], out=ties)
         policy_rows.append(best)
         tie_rows.append(ties)
         if keep_values:
-            value_rows.append(row)
+            value_rows.append(row.copy())
+        if k % S == 0 and k < N:
+            checkpoints.append(row.copy())
     path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows,
                                                  tie_rows)
-    gaps = _gaps_along_path(N, actions, path_m, step_values)
+    gaps = _gaps_along_path(N, actions, path_m, coef, checkpoints, S)
     return DPSolution(
         grid=grid, root_value=float(row[0]), action_names=actions,
         policy_rows=policy_rows, tie_rows=tie_rows, path_actions=path_actions,
@@ -310,27 +400,29 @@ def _assemble(grid: Grid, step_values, keep_values: bool) -> DPSolution:
 # oracle variants
 # ---------------------------------------------------------------------------
 
-def _step_values(agent, grid: Grid, think):
-    """Q-value rows of the triangle recursion for an agent with ``p_bar``,
-    ``lam``, ``c`` and ``B``.  A doing arrival pays ``B`` with the
-    posterior-weighted probability; ``think(k)`` gives the chance of a
-    thinking arrival with k steps remaining (a scalar, or an array over the
-    doing steps m) and what that arrival pays."""
+def _step_values(agent, grid: Grid, chance, pay, at):
+    """Affine Q coefficients of the triangle recursion for an agent with
+    ``p_bar``, ``lam``, ``c`` and ``B``, as the function ``coef(k, m)`` that
+    `_action_values` reads.  A doing arrival pays ``B`` with the
+    posterior-weighted probability.  A thinking arrival at state (k, m)
+    happens with probability ``chance[at(k, m)]`` and pays
+    ``pay[at(k, m)]``; one of the two may be a scalar.  The vectors are
+    built once, so a row only slices (or, for a window, gathers) them."""
     N = grid.n_steps
     dt = grid.dt
-    p_vec = posterior(agent.p_bar, agent.lam, dt * np.arange(N + 1))
-    q_do = -math.expm1(-agent.lam * dt)
+    s_do = posterior(agent.p_bar, agent.lam, dt * np.arange(N + 1)) * (
+        -math.expm1(-agent.lam * dt))
     cost = agent.c * dt
+    a_do = -cost + s_do * agent.B
+    b_do = 1.0 - s_do
+    a_th = -cost + chance * pay
+    b_th = np.broadcast_to(1.0 - chance, a_th.shape)
 
-    def step_values(k: int, W: np.ndarray):
-        M = N - k
-        s_do = p_vec[:M + 1] * q_do
-        s_th, pay = think(k)
-        Q_do = -cost + s_do * agent.B + (1.0 - s_do) * W[1:M + 2]
-        Q_th = -cost + s_th * pay + (1.0 - s_th) * W[:M + 1]
-        return Q_do, Q_th
+    def coef(k, m):
+        i = at(k, m)
+        return a_do[m], b_do[m], a_th[i], b_th[i]
 
-    return step_values
+    return coef
 
 
 def _lump_oracle(params: ModelParams, grid: Grid, lump: np.ndarray,
@@ -338,8 +430,8 @@ def _lump_oracle(params: ModelParams, grid: Grid, lump: np.ndarray,
     """A thinking arrival in the step with k steps remaining pays
     ``lump[k - 1]``."""
     q_th = -math.expm1(-params.mu * grid.dt)
-    return _assemble(grid, _step_values(params, grid,
-                                        lambda k: (q_th, lump[k - 1])),
+    return _assemble(grid, _step_values(params, grid, q_th, lump,
+                                        lambda k, m: k - 1),
                      keep_values)
 
 
@@ -347,7 +439,7 @@ def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
                keep_values: bool = True) -> DPSolution:
     """Reduced-model oracle: a thinking arrival pays the value-of-progress
     lump evaluated at the middle of the arrival step."""
-    _check_grid(grid)
+    _check_grid(grid, keep_values)
     lump = progress_value_array(
         model, (np.arange(1, grid.n_steps + 1) - 0.5) * grid.dt)
     return _lump_oracle(params, grid, lump, keep_values)
@@ -370,13 +462,16 @@ def _stage2_entry_values(params: ModelParams, stage2: ProgressModel,
     if isinstance(stage2, RiskyArm):
         q2 = -math.expm1(-stage2.nu * dt)
         p2 = posterior(stage2.p_bar_nu, stage2.nu, dt * np.arange(N + 2))
+        s2 = p2[:N + 1] * q2
+        a2 = -stage2.c_nu * dt + s2 * stage2.B_nu
+        b2 = 1.0 - s2
         rows = np.zeros(N + 2)
+        work = np.empty(N + 1)
         entry = np.zeros(N + 1)
         for k in range(1, N + 1):
-            s2 = p2[:N + 1] * q2
-            work = (-stage2.c_nu * dt + s2 * stage2.B_nu
-                    + (1.0 - s2) * rows[1:N + 2])
-            rows[:N + 1] = np.maximum(rows[:N + 1], work)
+            np.multiply(b2, rows[1:], out=work)
+            np.add(work, a2, out=work)
+            np.maximum(rows[:N + 1], work, out=rows[:N + 1])
             entry[k] = rows[0]
         return entry
     raise ValueError(
@@ -392,7 +487,7 @@ def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
     The pre-progress tables have the same shape as the reduced oracle; the
     lump paid on progress is the second stage's own optimal value, averaged
     across the arrival step."""
-    _check_grid(grid)
+    _check_grid(grid, keep_values)
     entry = _stage2_entry_values(params, stage2, grid)
     lump = 0.5 * (entry[:-1] + entry[1:])
     return _lump_oracle(params, grid, lump, keep_values)
@@ -411,13 +506,15 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     """
     if grid is None:
         grid = Grid.from_horizon(T, dt)
-    _check_grid(grid)
+    _check_grid(grid, keep_values)
     N = grid.n_steps
     # survival of the thinking pipeline after j thinking steps, and the
     # chance that step j + 1 delivers given that the first j did not
     surv = 1.0 - no_solution_prob(nf, grid.dt * np.arange(N + 2))
     arrive = 1.0 - surv[1:] / surv[:-1]
-    # at (k, m) the agent has thought for N - k - m steps
-    return _assemble(grid, _step_values(nf, grid,
-                                        lambda k: (arrive[N - k::-1], nf.B)),
+    # at (k, m) the agent has thought for N - k - m steps; m arrives as a
+    # slice (a full row) or as an index array (a gap-pass window)
+    steps = np.arange(N + 1)
+    return _assemble(grid, _step_values(nf, grid, arrive, nf.B,
+                                        lambda k, m: N - k - steps[m]),
                      keep_values)

@@ -27,7 +27,9 @@ from dblab import (
     solve,
     validate_model,
 )
-from dblab.dp import ACTION_DO, ACTION_IDLE, ACTION_THINK, _assemble
+from dblab import dp as dp_module
+from dblab.dp import (ACTION_DO, ACTION_IDLE, ACTION_THINK, _assemble,
+                      _check_grid)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "dp"
 
@@ -62,8 +64,15 @@ def test_grid_validation():
 def test_run_guards(base_params, safe_arm):
     with pytest.raises(CoarseGridError):
         dp_reduced(base_params, safe_arm, Grid(0.02, 90))
-    with pytest.raises(ValueError):
+    # the byte budget refuses before allocating: 2 bytes a policy/tie cell
+    # (441021000), 8 a kept value cell (1764252008) and 8 a checkpoint cell
+    # of the gap pass (12335248) exceed 1 GiB; without the values they fit
+    with pytest.raises(ValueError, match=r"n_steps=21000 would keep "
+                       r"2217608256 bytes .*keep_values=False"):
         dp_reduced(base_params, safe_arm, Grid(1e-4, 21_000))
+    _check_grid(Grid(1e-4, 21_000), keep_values=False)
+    with pytest.raises(ValueError, match="n_steps=40000"):
+        _check_grid(Grid(1e-4, 40_000), keep_values=False)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +322,101 @@ def test_oracle_matches_golden(name):
 
 def test_tie_goes_to_first_action_with_both_bits_set():
     # identical DO and THINK rows at every state: the first action in
-    # action-set order is chosen and both are flagged as tied
+    # action-set order is chosen and both are flagged as tied.  Both Q
+    # rows are W + 1 (coefficients a = b = 1); every value row is flat, so
+    # DO reading W[m + 1] and THINK reading W[m] see the same value
     grid = Grid(1e-3, 6, (ACTION_THINK, ACTION_DO))
-
-    def step_values(k, W):
-        row = 1.0 + W[:grid.n_steps - k + 1]
-        return row, row.copy()
-
-    dp = _assemble(grid, step_values, False)
+    dp = _assemble(grid, lambda k, m: (1.0, 1.0, 1.0, 1.0), False)
     assert grid.action_set[0] == ACTION_DO
     for k in range(1, grid.n_steps + 1):
         assert np.all(dp.policy_rows[k] == 0)
         assert np.all(dp.tie_rows[k] == 0b11)
     assert dp.root_value == 6.0
     assert set(dp.path_action_labels()) == {ACTION_DO}
+
+
+# ---------------------------------------------------------------------------
+# the checkpointed gap pass against a plain full-row recursion
+# ---------------------------------------------------------------------------
+
+def _plain_recursion(grid: Grid, coef, path_m: np.ndarray):
+    """Reference: the backward recursion over full rows, with fresh arrays,
+    the policy and tie rows set by masked assignment in reverse action
+    order, and Q_think - Q_do read off each row at the path state."""
+    N = grid.n_steps
+    actions = grid.action_set
+    W = np.zeros(N + 1)
+    policy_rows = [np.zeros(0, dtype=np.int8)]
+    tie_rows = [np.zeros(0, dtype=np.uint8)]
+    gaps = np.zeros(N)
+    for k in range(1, N + 1):
+        n = N - k + 1
+        a_do, b_do, a_th, b_th = coef(k, np.s_[:n])
+        q_do = a_do + b_do * W[1:n + 1]
+        q_th = a_th + b_th * W[:n]
+        pure = {ACTION_DO: q_do, ACTION_THINK: q_th, ACTION_IDLE: W[:n]}
+        qs = [pure[a] if isinstance(a, str) else a * q_do + (1.0 - a) * q_th
+              for a in actions]
+        row = np.maximum(qs[0], qs[1])
+        for q in qs[2:]:
+            row = np.maximum(row, q)
+        floor = row - 1e-12
+        best = np.zeros(n, dtype=np.int8)
+        ties = np.zeros(n, dtype=np.uint8)
+        for i in range(len(qs) - 1, -1, -1):
+            best[qs[i] == row] = i
+            ties |= (qs[i] >= floor).astype(np.uint8) << i
+        policy_rows.append(best)
+        tie_rows.append(ties)
+        m = path_m[N - k]
+        gaps[N - k] = q_th[m] - q_do[m]
+        W = row
+    return policy_rows, tie_rows, gaps
+
+
+def _gap_pass_case(variant: str, n_steps: int):
+    crit9 = ModelParams(p_bar=0.8, lam=1.0, mu=0.4, c=0.5, B=9.0, T=6.0)
+    at4 = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=4.0)
+    safe = SafeArm(nu=0.5, B_nu=10.25, c_nu=0.0)
+    nf = NoFeedbackModel(mu=1.0, nu=0.6, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
+    actions = {"pure": (ACTION_DO, ACTION_THINK),
+               "idle": (ACTION_DO, ACTION_THINK, ACTION_IDLE),
+               "rich": (ACTION_DO, ACTION_THINK, ACTION_IDLE, 0.25, 0.5, 0.75)}
+    grid = Grid(6e-3, n_steps, actions.get(variant, (ACTION_DO, ACTION_THINK)))
+    if variant in actions:
+        return dp_reduced(crit9, safe, grid, keep_values=False)
+    if variant == "two_stage":
+        return dp_two_stage(at4, RiskyArm(p_bar_nu=0.8, nu=1.0, B_nu=5.0,
+                                          c_nu=0.3), grid)
+    if variant == "no_feedback_limit":
+        nf = NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75,
+                             lam=0.75, limit_mode=True)
+    return dp_no_feedback(nf, grid.horizon, grid)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 5, 17, 1001])
+@pytest.mark.parametrize("variant", ["pure", "idle", "rich", "two_stage",
+                                     "no_feedback", "no_feedback_limit"])
+def test_gap_pass_matches_plain_recursion(monkeypatch, variant, n_steps):
+    # checkpoint stride isqrt(N) does not divide N for 5, 17 and 1001, so
+    # the last segment of the gap pass is partial
+    seen = []
+    assemble = dp_module._assemble
+
+    def spy(grid, coef, keep_values):
+        seen.append(coef)
+        return assemble(grid, coef, keep_values)
+
+    monkeypatch.setattr(dp_module, "_assemble", spy)
+    dp = _gap_pass_case(variant, n_steps)
+    policy_rows, tie_rows, gaps = _plain_recursion(dp.grid, seen[0], dp.path_m)
+
+    def raw(rows):
+        return [(r.dtype, r.tobytes()) for r in rows]
+
+    assert raw(dp.policy_rows) == raw(policy_rows)
+    assert raw(dp.tie_rows) == raw(tie_rows)
+    assert dp.path_gaps.tobytes() == gaps.tobytes()
 
 
 def _write_goldens() -> None:
