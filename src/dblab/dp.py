@@ -169,36 +169,19 @@ def _action_values(W: np.ndarray, coef: tuple, actions: tuple,
             for a in actions]
 
 
-def _best_action(qs: list, row: np.ndarray, best: np.ndarray) -> None:
+def _best_action(qs: list, row: np.ndarray,
+                 best: Optional[np.ndarray] = None) -> None:
     """The one action reduction: ``row`` gets the elementwise maximum of
-    the Q arrays and ``best`` the first action, in list order, that
-    attains it (``argmax``'s rule): an action takes over only where it is
-    strictly above the running maximum."""
+    the Q arrays and ``best``, when given, the first action, in list
+    order, that attains it (``argmax``'s rule): an action takes over only
+    where it is strictly above the running maximum."""
     np.maximum(qs[0], qs[1], out=row)
-    np.less(qs[0], qs[1], out=best.view(bool))
+    if best is not None:
+        np.less(qs[0], qs[1], out=best.view(bool))
     for i, q in enumerate(qs[2:], 2):
-        np.copyto(best, i, where=row < q)
+        if best is not None:
+            np.copyto(best, i, where=row < q)
         np.maximum(row, q, out=row)
-
-
-def _backward_rows(N: int, actions: tuple, coef):
-    """The backward recursion over full rows.
-
-    ``coef(k, m)`` returns the affine coefficients of `_action_values` at
-    k steps remaining on the doing counts m (a slice here).  For k = 1..N
-    this yields k, the Q rows, the value row and a new policy row.  The
-    value row alternates between two buffers, so it is valid only until
-    the next row is built."""
-    W, nxt = np.zeros(N + 1), np.empty(N + 1)
-    q_do, q_th = np.empty(N), np.empty(N)
-    for k in range(1, N + 1):
-        n = N - k + 1
-        qs = _action_values(W, coef(k, np.s_[:n]), actions, q_do[:n],
-                            q_th[:n])
-        row, best = nxt[:n], np.empty(n, dtype=np.int8)
-        _best_action(qs, row, best)
-        yield k, qs, row, best
-        W, nxt = nxt, W
 
 
 def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
@@ -248,7 +231,6 @@ def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
         part = row[lo[s]:lo[s] + w]
         V[s, :part.size] = part
     nxt, q_do, q_th = np.empty_like(V), np.empty_like(V), np.empty_like(V)
-    best = np.empty(V.shape, dtype=np.int8)
     m = lo[:, None] + np.arange(w)
     segments = np.arange(c.size)
     for t in range(1, S + 1):
@@ -256,7 +238,7 @@ def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
         k = np.minimum(c[:, None] + t, N)
         qs = _action_values(V, coef(k, np.minimum(m[:, :n], N - k)), actions,
                             q_do[:, :n], q_th[:, :n])
-        _best_action(qs, nxt[:, :n], best[:, :n])
+        _best_action(qs, nxt[:, :n])
         live = c + t <= N  # the last segment may be partial
         j = N - t - c[live]
         i = path_m[j] - lo[live]
@@ -356,22 +338,32 @@ def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
 
 
 def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
-    """Tables, no-arrival path and switch times of one oracle run.  The
+    """Tables, no-arrival path and switch times of one oracle run, from
+    the backward recursion over full rows.
+
+    ``coef(k, m)`` returns the affine coefficients of `_action_values` at
+    k steps remaining on the doing counts m (a slice here).  The value row
+    alternates between two buffers and is copied only to be kept.  The
     policy is the first action, in ``action_set`` order, that attains the
     row value; the tie bits flag every action within tolerance of it."""
     N = grid.n_steps
     actions = grid.action_set
     S = _checkpoint_stride(N)
-    row = np.zeros(N + 1)  # k = 0: no time left, no value
-    checkpoints = [row]
-    value_rows = [row] if keep_values else None
+    W, nxt = np.zeros(N + 1), np.empty(N + 1)  # k = 0: no time left, no value
+    checkpoints = [W.copy()]
+    value_rows = [checkpoints[0]] if keep_values else None
     policy_rows: list = [np.zeros(0, dtype=np.int8)]
     tie_rows: list = [np.zeros(0, dtype=np.uint8)]
+    q_do, q_th = np.empty(N), np.empty(N)
     floor, above = np.empty(N), np.empty(N, dtype=np.uint8)
     above_bool = above.view(bool)
     weights = [np.uint8(1 << i) for i in range(len(actions))]
-    for k, qs, row, best in _backward_rows(N, actions, coef):
-        n = row.size
+    for k in range(1, N + 1):
+        n = N - k + 1
+        qs = _action_values(W, coef(k, np.s_[:n]), actions, q_do[:n],
+                            q_th[:n])
+        row, best = nxt[:n], np.empty(n, dtype=np.int8)
+        _best_action(qs, row, best)
         np.subtract(row, _TIE_TOL, out=floor[:n])
         ties = np.empty(n, dtype=np.uint8)
         np.greater_equal(qs[0], floor[:n], out=ties.view(bool))
@@ -385,11 +377,12 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
             value_rows.append(row.copy())
         if k % S == 0 and k < N:
             checkpoints.append(row.copy())
+        W, nxt = nxt, W
     path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows,
                                                  tie_rows)
     gaps = _gaps_along_path(N, actions, path_m, coef, checkpoints, S)
     return DPSolution(
-        grid=grid, root_value=float(row[0]), action_names=actions,
+        grid=grid, root_value=float(W[0]), action_names=actions,
         policy_rows=policy_rows, tie_rows=tie_rows, path_actions=path_actions,
         path_m=path_m, path_gaps=gaps,
         switch_times=_intervals_from_path(grid, actions, path_actions, gaps),

@@ -171,14 +171,17 @@ def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
                 + b_coef * _growth_ratio(mu, tau))
     # kinks of the integrand inside (0, tau): RiskyArm's stop time, and
     # each knot of a Tabulated curve, whose interpolant's V' has a kink
-    points = None
+    points = []
     if isinstance(model, RiskyArm) and xi < model.stop_time < xi + tau:
         points = [model.stop_time - xi]
     elif isinstance(model, Tabulated):
         points = [t - xi for t in model.taus if xi < t < xi + tau]
+    # each break point takes one of quad's subintervals; the refinement
+    # budget comes on top
     val, _ = quad(
         lambda s: math.exp(mu * s) * preference_slope(params, model, s, p, xi),
-        0.0, tau, epsabs=1e-10, epsrel=1e-12, limit=200, points=points)
+        0.0, tau, epsabs=1e-10, epsrel=1e-12, limit=200 + len(points),
+        points=points or None)
     return val
 
 

@@ -21,6 +21,7 @@ from dblab import (
     SearchCeilingError,
     PayoffStream,
     SafeArm,
+    Tabulated,
     TimeVarying,
     do_throughout_value,
     doing_time_to_reach,
@@ -251,6 +252,23 @@ def test_preference_integral_closed_rejects_general_model(base_params):
         preference_integral(base_params, tv, 1.0, 0.5, 0.5, method="closed")
     with pytest.raises(ValueError):
         preference_integral(base_params, tv, 1.0, 0.5, 0.5, method="bogus")
+
+
+def test_preference_integral_dense_tabulated_solves(base_params, safe_arm):
+    # 401 knots on [0, 15], flat after tau=14: every knot inside the range
+    # is a break point for quad, more than its default subinterval budget;
+    # the table samples the SafeArm curve, so the schedules agree
+    taus = [15.0 * i / 400 for i in range(401)]
+    values = [-4.5 * math.expm1(-min(tau, 14.0)) for tau in taus]
+    dense = Tabulated(taus=tuple(taus), values=tuple(values))
+    assert preference_integral(base_params, dense, 10.0, 0.75, 0.0) == \
+        pytest.approx(preference_integral(base_params, safe_arm, 10.0, 0.75,
+                                          0.0), abs=1e-5)
+    got, ref = solve(base_params, dense), solve(base_params, safe_arm)
+    assert got.structure == ref.structure
+    for name in ("tau1", "tau2", "tau3"):
+        assert getattr(got, name) == pytest.approx(getattr(ref, name),
+                                                   abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
