@@ -18,8 +18,6 @@ from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 
 class ModelValidationError(ValueError):
@@ -296,6 +294,8 @@ class TimeVarying(ProgressModel):
         # exp(-u) * (B - c/rate(u)) with rate(u) = base + beta*u.
         if upper == 0.0:
             return 0.0
+        from scipy.integrate import quad  # loaded on first use: slow to import
+
         base = self.nu * math.exp(self.alpha)
         val, _ = quad(
             lambda u: math.exp(-u) * (self.B - self.c / (base + self.beta * u)),
@@ -379,6 +379,8 @@ class Tabulated(ProgressModel):
     @cached_property
     def _curves(self) -> tuple:
         """V, V' and V'' as interpolants, built once."""
+        from scipy.interpolate import PchipInterpolator  # slow to import
+
         v = PchipInterpolator(np.asarray(self.taus, dtype=float),
                               np.asarray(self.values, dtype=float))
         return v, v.derivative(1), v.derivative(2)

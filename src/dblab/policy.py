@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from . import _roots
 from .model import (
     ModelParams,
     PayoffStream,
@@ -118,7 +117,7 @@ def hail_mary_time(params: ModelParams, model: ProgressModel, p: float,
     idx = int(np.argmax(vals >= 0.0))
     if idx == 0:
         return 0.0
-    return brentq(lambda t: q(t) - p, grid[idx - 1], grid[idx], xtol=1e-9)
+    return _roots.brentq(lambda t: q(t) - p, grid[idx - 1], grid[idx], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +175,8 @@ def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
         points = [model.stop_time - xi]
     elif isinstance(model, Tabulated):
         points = [t - xi for t in model.taus if xi < t < xi + tau]
+    from scipy.integrate import quad  # loaded on first use: slow to import
+
     # each break point takes one of quad's subintervals; the refinement
     # budget comes on top
     val, _ = quad(
@@ -212,12 +213,12 @@ def thinking_span(params: ModelParams, model: ProgressModel, tau3: float,
         return 0.0
     if preference_slope(params, model, ceiling, p, tau3) >= 0.0:
         return INFINITE
-    peak = brentq(lambda s: preference_slope(params, model, s, p, tau3),
-                  0.0, ceiling, xtol=1e-9)
+    peak = _roots.brentq(lambda s: preference_slope(params, model, s, p, tau3),
+                         0.0, ceiling, 1e-9)
     acc = lambda t: preference_integral(params, model, t, p, tau3)
     if acc(ceiling) > 0.0:
         return INFINITE
-    return brentq(acc, peak, ceiling, xtol=1e-9)
+    return _roots.brentq(acc, peak, ceiling, 1e-9)
 
 
 def initial_doing_span(params: ModelParams, model: ProgressModel,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from . import _roots
 from .model import (
     ModelParams,
     ModelValidationError,
@@ -115,9 +115,7 @@ def _min_slack(params: ModelParams, model: ProgressModel, x: float,
     if hi > lo:
         f = lambda t: (posterior(start_belief, params.lam, t)
                        - hail_mary_belief(params, model, x - t))
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = min(best, float(res.fun))
+        best = min(best, _roots.minimize_bounded(f, lo, hi, 1e-12))
     return best
 
 
@@ -244,8 +242,9 @@ def _finish(params: ModelParams, model: ProgressModel, tau1: float,
     q_switch = hail_mary_belief(params, model, tau3)
     terminal = posterior(params.p_bar, params.lam, tau1 + tau3)
     shirk = no_shirk_check(params, terminal)
-    return PolicySchedule(tau1, tau2, tau3, structure, q_switch, terminal,
-                          bool(shirk))
+    # the searches hand back numpy scalars and an integer T on some paths
+    return PolicySchedule(float(tau1), float(tau2), float(tau3), structure,
+                          float(q_switch), float(terminal), bool(shirk))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ def solve_no_cost(params: ModelParams, model: ProgressModel,
     if crossings.size == 0:
         return DO_THROUGHOUT
     i = int(crossings[0])
-    return brentq(gap, taus[i], taus[i + 1], xtol=1e-9)
+    return _roots.brentq(gap, taus[i], taus[i + 1], 1e-9)
 
 
 def belief_thresholds(params: ModelParams, model: ProgressModel,
@@ -339,7 +338,7 @@ def belief_thresholds(params: ModelParams, model: ProgressModel,
         raise SolverError(
             "fixed-point bracket absent for the always-doing prior: "
             f"f({lo:.6g}) = {f_lo:.6g}, f({hi:.6g}) = {f_hi:.6g}")
-    p_tilde = brentq(f, lo, hi, xtol=1e-10)
+    p_tilde = _roots.brentq(f, lo, hi, 1e-10)
     t_hat = hail_mary_time(params, model, p_hat, ceiling=ceiling)
     p_check = posterior(p_hat, lam, t_hat)
     t_one = hail_mary_time(params, model, params.p_bar, ceiling=ceiling)

@@ -7,10 +7,14 @@ are pinned verbatim: downstream plotting depends on them.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dblab
 from dblab.cli import RunConfig, _parse_grid, main
 
 # Artifacts written by the CLI for two configs (the README anchor and a
@@ -133,6 +137,25 @@ def test_artifacts_match_golden_bytes(tmp_path, name, artifact):
     assert rc == 0
     assert (tmp_path / artifact).read_bytes() == \
         (DATA / name / artifact).read_bytes()
+
+
+def test_safe_arm_runs_never_import_scipy(tmp_path):
+    # a fresh interpreter: the suite's warning filter imports scipy here
+    script = f"""
+import sys
+import dblab, dblab.cli
+cfg, out = {str(DATA / "anchor" / "config.json")!r}, {str(tmp_path)!r}
+for argv in (["solve"], ["verify", "--dt", "2e-3"], ["simulate"]):
+    assert dblab.cli.main(argv + ["--config", cfg, "--out", out]) == 0, argv
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    src = str(Path(dblab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solver_failure_exits_3(config_path, tmp_path, capsys):

@@ -123,6 +123,21 @@ def test_solve_accepts_numpy_scalar_params(base_params, safe_arm):
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_schedule_fields_are_plain_floats(base_params, safe_arm):
+    # the excess bisection starts from numpy grid points here, and an
+    # integer T would pass straight through DO_ONLY; both report floats
+    do_think_do = solve(ModelParams(p_bar=0.4, lam=1.9, mu=1.0, c=0.2, B=7.0,
+                                    T=2.0),
+                        SafeArm(nu=1.3, B_nu=4.0, c_nu=0.2))
+    do_only = solve(dataclasses.replace(base_params, p_bar=0.9, T=2),
+                    safe_arm)
+    assert (do_think_do.structure, do_only.structure) == (DO_THINK_DO, DO_ONLY)
+    for sched in (do_think_do, do_only):
+        for name in ("tau1", "tau2", "tau3", "q_at_switch", "terminal_belief"):
+            assert type(getattr(sched, name)) is float, name
+        assert "np." not in repr(sched)
+
+
 def test_solve_no_shirk_flag(base_params, safe_arm):
     sched = solve(base_params, safe_arm)
     assert sched.no_shirk_ok
