@@ -144,36 +144,61 @@ def _growth_ratio(x: float, tau: float) -> float:
     return math.expm1(x * tau) / x
 
 
+def _exp_affine(model: ProgressModel):
+    """``(L, nu, kappa, stop)`` for a family whose V is
+    ``L*(1 - exp(-nu*t)) - kappa*t`` up to ``stop`` and flat after it, or
+    None for the other families."""
+    if isinstance(model, (SafeArm, PayoffStream)):
+        return model.limit(), model.nu, 0.0, INFINITE
+    if isinstance(model, RiskyArm):
+        p, nu = model.p_bar_nu, model.nu
+        return (p * (model.B_nu - model.c_nu / nu), nu,
+                (1.0 - p) * model.c_nu, model.stop_time)
+    return None
+
+
 def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
                         p: float, xi: float, method: str = "auto") -> float:
     """Survival-weighted accumulation of the preference slope,
     ``integral of exp(mu*s) * slope(s) over s in [0, tau]``, anchored at
     indifference (value 0 at tau = 0).
 
-    Exponential-decay families evaluate in closed form; the generic route
-    is adaptive quadrature with absolute tolerance 1e-10.
+    Exponential-affine families (SafeArm, PayoffStream, RiskyArm) evaluate
+    in closed form, piece by piece either side of the stop time; the
+    generic route is adaptive quadrature with absolute tolerance 1e-10.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if method not in ("auto", "closed", "quad"):
         raise ValueError(f"unknown method {method!r}")
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
-    exponential = isinstance(model, (SafeArm, PayoffStream))
-    if method == "closed" and not exponential:
-        raise ValueError("closed form available only for exponential families")
-    if exponential and method in ("auto", "closed"):
-        scale = model.limit()
-        nu = model.nu
+    affine = _exp_affine(model)
+    if method == "closed" and affine is None:
+        raise ValueError(
+            "closed form available only for exponential-affine families")
+    if affine is not None and method in ("auto", "closed"):
+        scale, nu, kappa, stop = affine
+        # past the stop time V is flat at limit(): a constant slope
+        flat = p * mu * lam * (model.limit() - B) + (mu - lam * p) * c
+        if xi >= stop:
+            return flat * _growth_ratio(mu, tau)
+        head = min(tau, stop - xi)  # the exponential-affine piece
         a_coef = mu * scale * math.exp(-nu * xi) * (nu - p * lam)
-        b_coef = p * mu * lam * (scale - B) + (mu - lam * p) * c
-        return (a_coef * _growth_ratio(mu - nu, tau)
-                + b_coef * _growth_ratio(mu, tau))
-    # kinks of the integrand inside (0, tau): RiskyArm's stop time, and
-    # each knot of a Tabulated curve, whose interpolant's V' has a kink
+        b_coef = (p * mu * lam * (scale - B - kappa * xi)
+                  + (mu - lam * p) * c - mu * kappa)
+        val = (a_coef * _growth_ratio(mu - nu, head)
+               + b_coef * _growth_ratio(mu, head))
+        if kappa:
+            # the -kappa*t drift adds a slope term linear in s, and
+            # integral of s*exp(mu*s) over [0, t] = (t*exp(mu*t) - G(mu, t))/mu
+            val -= (p * mu * lam * kappa
+                    * (head * math.exp(mu * head) - _growth_ratio(mu, head)) / mu)
+        if tau > head:
+            val += flat * math.exp(mu * head) * _growth_ratio(mu, tau - head)
+        return val
+    # each knot of a Tabulated curve is a kink of its interpolant's V'
     points = []
-    if isinstance(model, RiskyArm) and xi < model.stop_time < xi + tau:
-        points = [model.stop_time - xi]
-    elif isinstance(model, Tabulated):
+    if isinstance(model, Tabulated):
         points = [t - xi for t in model.taus if xi < t < xi + tau]
     from scipy.integrate import quad  # loaded on first use: slow to import
 

@@ -95,28 +95,31 @@ class InfiniteHorizonPlan:
 # feasibility certificates for the final-stretch search
 # ---------------------------------------------------------------------------
 
-def _min_slack(params: ModelParams, model: ProgressModel, x: float,
-               start_belief: float, n_grid: int) -> float:
-    """Minimum over t in [0, x] of posterior(start_belief, t) - q(x - t).
+def _feasible(params: ModelParams, model: ProgressModel, x: float,
+              start_belief: float, n_grid: int, tol: float) -> bool:
+    """Whether posterior(start_belief, t) - q(x - t) >= -tol for all t in
+    [0, x]: a final doing stretch of length x, entered at start_belief,
+    never drops the belief below the boundary curve.
 
-    Nonnegative iff a final doing stretch of length x, entered at
-    start_belief, never drops the belief below the boundary curve.
-    Certified on a dense grid, then tightened by local minimization.
+    Checked on a dense grid; only a grid that passes is tightened by local
+    minimization, since no refinement can lift a failing grid point.
     """
     if x <= 0.0:
-        return 0.0
+        return True
     ts = np.linspace(0.0, x, n_grid)
     slack = (posterior(start_belief, params.lam, ts)
              - hail_mary_belief(params, model, x - ts))
     i = int(np.argmin(slack))
     best = float(slack[i])
+    if best < -tol:
+        return False
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, n_grid - 1)]
     if hi > lo:
         f = lambda t: (posterior(start_belief, params.lam, t)
                        - hail_mary_belief(params, model, x - t))
         best = min(best, _roots.minimize_bounded(f, lo, hi, 1e-12))
-    return best
+    return best >= -tol
 
 
 def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> float:
@@ -156,8 +159,8 @@ def solve(params: ModelParams, model: ProgressModel, *,
     if ceiling is None:
         ceiling = search_ceiling(params)
 
-    feasible_prior = lambda x: _min_slack(
-        params, model, x, params.p_bar, n_grid) >= -1e-12
+    feasible_prior = lambda x: _feasible(
+        params, model, x, params.p_bar, n_grid, 1e-12)
 
     # Stage one: the longest final stretch consistent with the prior's decay.
     if feasible_prior(T):
@@ -173,14 +176,15 @@ def solve(params: ModelParams, model: ProgressModel, *,
             return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
 
     # Stage two: re-anchor the final stretch on its own boundary belief.
-    feasible_self = lambda x: _min_slack(
-        params, model, x, hail_mary_belief(params, model, x), n_grid) >= -1e-10
+    feasible_self = lambda x: _feasible(
+        params, model, x, hail_mary_belief(params, model, x), n_grid, 1e-10)
     if feasible_self(bar3):
         bar3_self = bar3
     else:
+        # scan[256] is bar3 itself, just found infeasible
         scan = np.linspace(0.0, bar3, 257)
         ok_idx = None
-        for i in range(len(scan) - 1, -1, -1):
+        for i in range(len(scan) - 2, -1, -1):
             if feasible_self(scan[i]):
                 ok_idx = i
                 break

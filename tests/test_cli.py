@@ -139,13 +139,19 @@ def test_artifacts_match_golden_bytes(tmp_path, name, artifact):
         (DATA / name / artifact).read_bytes()
 
 
-def test_safe_arm_runs_never_import_scipy(tmp_path):
-    # a fresh interpreter: the suite's warning filter imports scipy here
+def test_safe_and_risky_arm_runs_never_import_scipy(tmp_path):
+    # a fresh interpreter: the suite's warning filter imports scipy here.
+    # The RiskyArm sweep's DO_THINK_DO points reach thinking_span, so they
+    # run the closed-form preference integral.
     script = f"""
 import sys
 import dblab, dblab.cli
-cfg, out = {str(DATA / "anchor" / "config.json")!r}, {str(tmp_path)!r}
-for argv in (["solve"], ["verify", "--dt", "2e-3"], ["simulate"]):
+anchor = {str(DATA / "anchor" / "config.json")!r}
+risky = {str(DATA / "risky" / "config.json")!r}
+out = {str(tmp_path)!r}
+for cfg, argv in ((anchor, ["solve"]), (anchor, ["verify", "--dt", "2e-3"]),
+                  (anchor, ["simulate"]), (risky, ["solve"]),
+                  (risky, ["simulate"]), (risky, {GOLDEN_ARGS["sweep.csv"]!r})):
     assert dblab.cli.main(argv + ["--config", cfg, "--out", out]) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded

@@ -18,8 +18,10 @@ from scipy.optimize import brentq
 
 from dblab import (
     INFINITE,
+    ModelParams,
     SearchCeilingError,
     PayoffStream,
+    RiskyArm,
     SafeArm,
     Tabulated,
     TimeVarying,
@@ -234,22 +236,68 @@ def test_preference_integral_basics(base_params, safe_arm):
     SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5),
     SafeArm(nu=1.7, B_nu=3.2, c_nu=0.4),
     PayoffStream(nu=0.8, B_nu=4.0),
+    RiskyArm(p_bar_nu=0.7, nu=1.1, B_nu=4.0, c_nu=0.4),
+    RiskyArm(p_bar_nu=0.6, nu=1.0, B_nu=3.0, c_nu=0.5),  # nu == mu
 ])
 def test_preference_integral_closed_matches_quadrature(base_params, model):
-    for tau in (0.3, 1.0, 2.5, 4.0):
+    taus, xis = [0.0, 1e-7, 1e-6, 0.3, 1.0, 2.5, 4.0], [0.0, 1.2]
+    if isinstance(model, RiskyArm):
+        # anchors either side of the stop time, and spans across the kink
+        stop = model.stop_time
+        xis += [stop - 0.5, stop, stop + 0.3]
+        taus += [0.5 + 1e-9, 0.9, stop + 0.4]
+    for tau in taus:
         for p in (0.2, 0.75):
-            for xi in (0.0, 1.2):
+            for xi in xis:
                 closed = preference_integral(base_params, model, tau, p, xi,
                                              method="closed")
                 numeric = preference_integral(base_params, model, tau, p, xi,
                                               method="quad")
-                assert abs(closed - numeric) <= 1e-9
+                assert abs(closed - numeric) <= 1e-9, (tau, p, xi)
+
+
+def _growth_reference(x, tau):
+    return tau if x == 0.0 else math.expm1(x * tau) / x
+
+
+def _exponential_integral_reference(params, model, tau, p, xi):
+    """The two-term SafeArm/PayoffStream closed form (no drift, no stop
+    time), the reference that pins those families' results bit for bit."""
+    mu, lam, B, c = params.mu, params.lam, params.B, params.c
+    scale = model.limit()
+    nu = model.nu
+    a_coef = mu * scale * math.exp(-nu * xi) * (nu - p * lam)
+    b_coef = p * mu * lam * (scale - B) + (mu - lam * p) * c
+    return (a_coef * _growth_reference(mu - nu, tau)
+            + b_coef * _growth_reference(mu, tau))
+
+
+def test_preference_integral_exponential_families_bit_identical(rng):
+    for _ in range(400):
+        params = ModelParams(p_bar=rng.uniform(0.05, 0.95),
+                             lam=rng.uniform(0.1, 10.0),
+                             mu=rng.uniform(0.1, 10.0), c=rng.uniform(0.0, 3.0),
+                             B=rng.uniform(1.0, 31.0), T=2.0)
+        nu = params.mu if rng.random() < 0.1 else rng.uniform(0.1, 10.0)
+        if rng.random() < 0.5:
+            model = PayoffStream(nu=nu, B_nu=rng.uniform(0.5, 10.0))
+        else:
+            model = SafeArm(nu=nu, B_nu=rng.uniform(1.0, 10.0),
+                            c_nu=rng.uniform(0.0, 0.1))
+        tau = float(rng.choice([0.0, 1e-6, rng.uniform(0.0, 4.0)]))
+        p, xi = rng.uniform(0.01, 0.99), rng.uniform(0.0, 4.0)
+        got = preference_integral(params, model, tau, p, xi)
+        want = _exponential_integral_reference(params, model, tau, p, xi)
+        assert got.hex() == want.hex(), (params, model, tau, p, xi)
 
 
 def test_preference_integral_closed_rejects_general_model(base_params):
     tv = TimeVarying(nu=1.0, alpha=0.0, beta=0.1, B=5.0, c=0.5)
-    with pytest.raises(ValueError):
-        preference_integral(base_params, tv, 1.0, 0.5, 0.5, method="closed")
+    table = Tabulated(taus=(0.0, 1.0, 2.0, 3.0), values=(0.0, 2.0, 3.0, 3.5))
+    for model in (tv, table):
+        with pytest.raises(ValueError, match="closed form"):
+            preference_integral(base_params, model, 1.0, 0.5, 0.5,
+                                method="closed")
     with pytest.raises(ValueError):
         preference_integral(base_params, tv, 1.0, 0.5, 0.5, method="bogus")
 

@@ -15,6 +15,9 @@ from dblab import (
     THINK_DO,
     Grid,
     ModelParams,
+    ModelValidationError,
+    PayoffStream,
+    RiskyArm,
     SafeArm,
     belief_thresholds,
     dp_reduced,
@@ -28,6 +31,8 @@ from dblab import (
     switching_profile,
     validate_model,
 )
+from dblab import _roots
+from dblab.solver import _feasible
 
 
 def _check_schedule_consistency(params, model, sched):
@@ -322,3 +327,81 @@ def test_solver_matches_dp_oracle_on_random_instances(rng):
                 f"tau2 mismatch at {p}, {model}: dp={t2} vs {sched.tau2}")
             assert abs(t3 - sched.tau3) <= tol, (
                 f"tau3 mismatch at {p}, {model}: dp={t3} vs {sched.tau3}")
+
+
+# ---------------------------------------------------------------------------
+# feasibility certificate for the final-stretch search
+# ---------------------------------------------------------------------------
+
+def _min_slack_reference(params, model, x, start_belief, n_grid):
+    """Minimum slack on the grid, tightened by local minimization whatever
+    the grid says: the check `_feasible` must agree with."""
+    if x <= 0.0:
+        return 0.0
+    ts = np.linspace(0.0, x, n_grid)
+    slack = (posterior(start_belief, params.lam, ts)
+             - hail_mary_belief(params, model, x - ts))
+    i = int(np.argmin(slack))
+    best = float(slack[i])
+    lo = ts[max(i - 1, 0)]
+    hi = ts[min(i + 1, n_grid - 1)]
+    if hi > lo:
+        f = lambda t: (posterior(start_belief, params.lam, t)
+                       - hail_mary_belief(params, model, x - t))
+        best = min(best, _roots.minimize_bounded(f, lo, hi, 1e-12))
+    return best
+
+
+def _family_instance(rng, family):
+    """Draw a validated parameter set with a progress model of ``family``."""
+    if family == "SafeArm":
+        return _random_instance(rng)
+    while True:
+        params = ModelParams(p_bar=rng.uniform(0.3, 0.9),
+                             lam=rng.uniform(0.4, 2.0),
+                             mu=rng.uniform(0.4, 2.0), c=rng.uniform(0.0, 0.8),
+                             B=rng.uniform(2.0, 8.0), T=1.0)
+        nu = rng.uniform(0.3, 3.0)
+        try:
+            if family == "PayoffStream":
+                model = PayoffStream(nu=nu, B_nu=rng.uniform(0.5, params.B))
+            else:
+                model = RiskyArm(p_bar_nu=rng.uniform(0.4, 0.9), nu=nu,
+                                 B_nu=rng.uniform(1.0, params.B + 2.0),
+                                 c_nu=rng.uniform(0.05, 0.8))
+        except ModelValidationError:
+            continue
+        if validate_model(params, model).overall:
+            return params, model
+
+
+def test_feasible_matches_min_slack_and_skips_refinement(rng, monkeypatch):
+    calls = []
+    bounded = _roots.minimize_bounded
+    monkeypatch.setattr(_roots, "minimize_bounded",
+                        lambda *a: calls.append(a) or bounded(*a))
+    n_grid = 2048
+    seen = set()
+    for family in ("SafeArm", "PayoffStream", "RiskyArm"):
+        for _ in range(3):
+            params, model = _family_instance(rng, family)
+            for x in np.linspace(0.0, 3.0, 13):
+                # entered at the prior (stage one) and at the stretch's own
+                # boundary belief (stage two)
+                for start in (params.p_bar, hail_mary_belief(params, model, x)):
+                    if not 0.0 < start < 1.0:
+                        continue
+                    ts = np.linspace(0.0, x, n_grid)
+                    grid_min = np.min(posterior(start, params.lam, ts)
+                                      - hail_mary_belief(params, model, x - ts))
+                    for tol in (1e-12, 1e-10):
+                        before = len(calls)
+                        got = _feasible(params, model, x, start, n_grid, tol)
+                        refined = len(calls) - before
+                        want = _min_slack_reference(params, model, x, start,
+                                                    n_grid) >= -tol
+                        assert got == want, (params, model, x, start, tol)
+                        grid_fails = grid_min < -tol
+                        assert refined == (0 if grid_fails or x == 0.0 else 1)
+                        seen.add((family, grid_fails))
+    assert len(seen) == 6, seen
