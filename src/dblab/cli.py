@@ -42,10 +42,12 @@ from .solver import SolverError, belief_thresholds, solve, \
     solve_infinite_horizon
 
 _AGENT_KEYS = {"p_bar", "lambda", "mu", "c", "B", "T"}
-_BLOCKS = ("solver", "oracle", "sim", "sweep")
-# numeric settings of the optional blocks, checked when the config is read
-_BLOCK_NUMBERS = {"solver": ("n_grid", "tau_tol"), "oracle": ("dt", "nu"),
-                  "sim": ("reps", "seed", "nu"), "sweep": ("nu",)}
+# the known keys of the optional blocks; True marks a number, checked when
+# the config is read
+_BLOCK_KEYS = {"solver": {"tau_tol": True},
+               "oracle": {"kind": False, "dt": True, "nu": True},
+               "sim": {"reps": True, "seed": True, "nu": True},
+               "sweep": {"variable": False, "grid": False, "nu": True}}
 
 
 class _WriteFailure(Exception):
@@ -98,11 +100,13 @@ class RunConfig:
                              mu=num["mu"], c=num["c"], B=num["B"], T=num["T"])
         model_spec = _block(data, "model")
         progress_model_from_dict(model_spec)  # fail fast on bad spec
-        blocks = {name: _block(data, name) for name in _BLOCKS}
-        for name, keys in _BLOCK_NUMBERS.items():
-            for key in keys:
-                if key in blocks[name]:
-                    _number(f"{name}.{key}", blocks[name][key])
+        blocks = {name: _block(data, name) for name in _BLOCK_KEYS}
+        for name, block in blocks.items():
+            for key in block:
+                if key not in _BLOCK_KEYS[name]:
+                    raise ValueError(f"unknown config key {name}.{key}")
+                if _BLOCK_KEYS[name][key]:
+                    _number(f"{name}.{key}", block[key])
         return cls(params=params, model_spec=model_spec, **blocks)
 
     @classmethod
@@ -121,7 +125,7 @@ class RunConfig:
                  "mu": self.params.mu, "c": self.params.c,
                  "B": self.params.B, "T": self.params.T}
         out = {"agent": agent, "model": dict(self.model_spec)}
-        for name in _BLOCKS:
+        for name in _BLOCK_KEYS:
             block = getattr(self, name)
             if block:
                 out[name] = dict(block)
@@ -188,12 +192,8 @@ def _out_dir(args) -> Path:
 
 def _solve_from_config(cfg: RunConfig):
     model = cfg.build_model()
-    kwargs = {}
-    if "n_grid" in cfg.solver:
-        kwargs["n_grid"] = int(cfg.solver["n_grid"])
-    if "tau_tol" in cfg.solver:
-        kwargs["tau_tol"] = float(cfg.solver["tau_tol"])
-    return model, solve(cfg.params, model, **kwargs)
+    # the solver block holds keywords of solve, all checked numbers
+    return model, solve(cfg.params, model, **cfg.solver)
 
 
 def cmd_solve(args) -> int:

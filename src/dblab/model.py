@@ -473,7 +473,10 @@ class ValidationReport:
         return [c.name for c in self.checks if not c.passed and not c.advisory]
 
 
-def _check_grid(params: ModelParams, model: ProgressModel, n_grid: int) -> np.ndarray:
+_CHECK_POINTS = 512  # geometric grid on which validate_model samples V
+
+
+def _check_grid(params: ModelParams, model: ProgressModel) -> np.ndarray:
     hi = max(10.0 / params.lam, 10.0 / params.mu, 2.0 * params.T)
     if isinstance(model, Tabulated):
         hi = min(hi, model.taus[-1])
@@ -481,7 +484,7 @@ def _check_grid(params: ModelParams, model: ProgressModel, n_grid: int) -> np.nd
         # The family's stated conditions hold while the second arm is still
         # worth pulling; beyond its stopping time the value is flat by design.
         hi = min(hi, model.stop_time)
-    return np.geomspace(hi * 1e-6, hi, n_grid)
+    return np.geomspace(hi * 1e-6, hi, _CHECK_POINTS)
 
 
 def _first_failure(bad: np.ndarray, at: np.ndarray, values: np.ndarray) -> tuple:
@@ -493,8 +496,7 @@ def _first_failure(bad: np.ndarray, at: np.ndarray, values: np.ndarray) -> tuple
     return False, float(at[idx[0]]), float(values[idx[0]])
 
 
-def validate_model(params: ModelParams, model: ProgressModel,
-                   n_grid: int = 512) -> ValidationReport:
+def validate_model(params: ModelParams, model: ProgressModel) -> ValidationReport:
     """Check the standing conditions on the value of progress.
 
     Conditions: V(0)=0, V strictly increasing, relative concavity
@@ -504,7 +506,7 @@ def validate_model(params: ModelParams, model: ProgressModel,
     Derivative-based checks on tabulated curves are advisory only.
     """
     checks: list = []
-    grid = _check_grid(params, model, n_grid)
+    grid = _check_grid(params, model)
     advisory_derivs = isinstance(model, Tabulated)
 
     v0 = model.value(0.0)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -82,10 +81,34 @@ def hail_mary_belief_raw(params: ModelParams, model: ProgressModel, tau):
     admissible parameters, including lam == mu.  ``tau`` is a scalar or an
     array.
     """
+    num, den = _belief_terms(params, model, tau)
+    return num / den
+
+
+def _belief_terms(params: ModelParams, model: ProgressModel, tau) -> tuple:
+    """Numerator and denominator of :func:`hail_mary_belief_raw`."""
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
     num = mu * (model.value(tau) + c * tau)  # value() validates tau
     den = mu * (B + c * tau) + (lam - mu) * (B - _known_arm(params, tau, _ops(tau)))
-    return num / den
+    return num, den
+
+
+def _decayed_log_odds(params: ModelParams, model: ProgressModel, s,
+                      order: int = 0):
+    """h(s) = logit q(s) - lam*s for the boundary belief q; doing for a time
+    t lowers a belief's log-odds by exactly lam*t.  Order 0 takes a scalar
+    or an array and maps q = 0 to -inf and q >= 1 to +inf; order 1 gives
+    h'(s) = q'/(q(1-q)) - lam at a scalar."""
+    mu, lam, B, c = params.mu, params.lam, params.B, params.c
+    num, den = _belief_terms(params, model, s)
+    if order == 1:  # the quotient rule on q = num/den
+        d_num = mu * (model.value(s, 1) + c)
+        d_den = mu * c - (lam - mu) * (lam * B - c) * math.exp(-lam * s)
+        return (d_num * den - num * d_den) / (num * (den - num)) - lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.log(np.maximum(np.divide(num, den - num), 0.0)) - lam * s
+    h = np.where(num >= den, np.inf, h)
+    return h if isinstance(s, np.ndarray) else float(h)
 
 
 def hail_mary_belief(params: ModelParams, model: ProgressModel, tau):
@@ -95,14 +118,13 @@ def hail_mary_belief(params: ModelParams, model: ProgressModel, tau):
     return _ops(tau).minimum(1.0, hail_mary_belief_raw(params, model, tau))
 
 
-def hail_mary_time(params: ModelParams, model: ProgressModel, p: float,
-                   ceiling: Optional[float] = None) -> float:
+def hail_mary_time(params: ModelParams, model: ProgressModel,
+                   p: float) -> float:
     """Smallest final-stretch length at which the boundary belief reaches
     ``p``; the inverse of :func:`hail_mary_belief`."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if ceiling is None:
-        ceiling = search_ceiling(params)
+    ceiling = search_ceiling(params)
     q = lambda t: hail_mary_belief(params, model, t)
     hi = min(1.0, ceiling)
     while q(hi) < p and hi < ceiling:
@@ -215,8 +237,8 @@ def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
 # period-length maps
 # ---------------------------------------------------------------------------
 
-def thinking_span(params: ModelParams, model: ProgressModel, tau3: float,
-                  ceiling: Optional[float] = None) -> float:
+def thinking_span(params: ModelParams, model: ProgressModel,
+                  tau3: float) -> float:
     """Length of the thinking stretch that ends exactly at indifference when
     the final doing stretch has length ``tau3``.
 
@@ -226,8 +248,7 @@ def thinking_span(params: ModelParams, model: ProgressModel, tau3: float,
     """
     if tau3 < 0.0:
         raise ValueError(f"tau3 must be nonnegative, got {tau3}")
-    if ceiling is None:
-        ceiling = search_ceiling(params)
+    ceiling = search_ceiling(params)
     p = hail_mary_belief(params, model, tau3)
     if p >= 1.0 - 1e-12:
         raise ValueError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .model import (
     validate_model,
 )
 from .policy import (
+    _decayed_log_odds,
     hail_mary_belief,
     hail_mary_time,
     initial_doing_span,
@@ -92,34 +93,39 @@ class InfiniteHorizonPlan:
 
 
 # ---------------------------------------------------------------------------
-# feasibility certificates for the final-stretch search
+# the final-stretch search in log-odds
 # ---------------------------------------------------------------------------
 
-def _feasible(params: ModelParams, model: ProgressModel, x: float,
-              start_belief: float, n_grid: int, tol: float) -> bool:
-    """Whether posterior(start_belief, t) - q(x - t) >= -tol for all t in
-    [0, x]: a final doing stretch of length x, entered at start_belief,
-    never drops the belief below the boundary curve.
+_GRID = 4096  # samples of the log-odds curve on [0, T]
 
-    Checked on a dense grid; only a grid that passes is tightened by local
-    minimization, since no refinement can lift a failing grid point.
-    """
-    if x <= 0.0:
-        return True
-    ts = np.linspace(0.0, x, n_grid)
-    slack = (posterior(start_belief, params.lam, ts)
-             - hail_mary_belief(params, model, x - ts))
-    i = int(np.argmin(slack))
-    best = float(slack[i])
-    if best < -tol:
-        return False
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, n_grid - 1)]
-    if hi > lo:
-        f = lambda t: (posterior(start_belief, params.lam, t)
-                       - hail_mary_belief(params, model, x - t))
-        best = min(best, _roots.minimize_bounded(f, lo, hi, 1e-12))
-    return best >= -tol
+
+def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
+    """x -> (H(x), the largest maximiser of h on [0, x]), for h(s) = logit
+    q(s) - lam*s on [0, T] and its running maximum H(x) = max of h on [0, x].
+
+    A final doing stretch x entered at belief p never drops the belief below
+    the boundary curve q iff logit p - lam*x >= H(x).  H is read off a fixed
+    grid whose strict interior maxima on the record are each refined once,
+    by a root of h' across the two neighbouring cells."""
+    h = lambda s: _decayed_log_odds(params, model, s)
+    slope = lambda s: _decayed_log_odds(params, model, s, 1)
+    grid = np.linspace(0.0, params.T, _GRID)
+    hs = h(grid)
+    running = np.maximum.accumulate(hs)
+    records = np.flatnonzero(hs == running)
+    tops = records[(records > 1) & (records < _GRID - 1)]
+    peaks = []  # (h, s) at each refined maximum
+    for j in tops[hs[tops + 1] < hs[tops]]:
+        if slope(grid[j - 1]) > 0.0 > slope(grid[j + 1]):
+            at = _roots.brentq(slope, grid[j - 1], grid[j + 1], tau_tol)
+            peaks.append((h(at), at))
+
+    def top(x: float) -> tuple:
+        k = int(np.searchsorted(grid, x, side="right")) - 1
+        r = records[np.searchsorted(records, k, side="right") - 1]
+        best = max((float(running[k]), float(grid[r])), (h(x), x))
+        return max([best] + [p for p in peaks if p[1] <= x])
+    return top
 
 
 def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> float:
@@ -139,9 +145,7 @@ def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 def solve(params: ModelParams, model: ProgressModel, *,
-          n_grid: int = 2048, tau_tol: float = 1e-9,
-          validate: bool = True, ceiling: Optional[float] = None
-          ) -> PolicySchedule:
+          tau_tol: float = 1e-9, validate: bool = True) -> PolicySchedule:
     """Compute the unique optimal schedule for the given primitives.
 
     Raises :class:`ModelValidationError` when the value-of-progress model
@@ -156,48 +160,36 @@ def solve(params: ModelParams, model: ProgressModel, *,
     T = params.T
     if T == 0.0:
         return _finish(params, model, 0.0, 0.0, 0.0, DO_ONLY)
-    if ceiling is None:
-        ceiling = search_ceiling(params)
-
-    feasible_prior = lambda x: _feasible(
-        params, model, x, params.p_bar, n_grid, 1e-12)
 
     # Stage one: the longest final stretch consistent with the prior's decay.
+    top = _record_curve(params, model, tau_tol)
+    logit_prior = math.log(params.p_bar / (1.0 - params.p_bar))
+    feasible_prior = lambda x: logit_prior - params.lam * x >= top(x)[0]
     if feasible_prior(T):
         return _finish(params, model, 0.0, 0.0, T, DO_ONLY)
+    # plain bisection keeps bar3 on the feasible side: q(bar3) <= p_bar
     bar3 = _largest_feasible(feasible_prior, 0.0, T, tau_tol)
 
     q_bar = hail_mary_belief(params, model, bar3)
     if abs(q_bar - params.p_bar) <= 1e-9:
         # The binding point is the entry belief itself: no opening doing
         # period; think until indifference, then do.
-        span = thinking_span(params, model, bar3, ceiling=ceiling)
+        span = thinking_span(params, model, bar3)
         if span >= T - bar3:
             return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
 
     # Stage two: re-anchor the final stretch on its own boundary belief.
-    feasible_self = lambda x: _feasible(
-        params, model, x, hail_mary_belief(params, model, x), n_grid, 1e-10)
-    if feasible_self(bar3):
-        bar3_self = bar3
-    else:
-        # scan[256] is bar3 itself, just found infeasible
-        scan = np.linspace(0.0, bar3, 257)
-        ok_idx = None
-        for i in range(len(scan) - 2, -1, -1):
-            if feasible_self(scan[i]):
-                ok_idx = i
-                break
-        if ok_idx is None or ok_idx == 0:
-            raise SolverError(
-                "self-anchored final-stretch bracket degenerated to zero; "
-                f"no feasible length in (0, {bar3}]")
-        bar3_self = _largest_feasible(feasible_self, scan[ok_idx],
-                                      scan[ok_idx + 1], tau_tol)
+    # Entered at q(x), a stretch x is feasible iff h(x) = H(x), so the
+    # longest one is the largest maximiser of h on [0, bar3].
+    bar3_self = top(bar3)[1]
+    if bar3_self <= 0.0:
+        raise SolverError(
+            "the log-odds boundary curve peaks at zero: no final stretch in "
+            f"(0, {bar3}] is feasible from its own boundary belief")
 
     # Stage three: balance the three period lengths against the horizon.
     def excess(t3: float) -> float:
-        span = thinking_span(params, model, t3, ceiling=ceiling)
+        span = thinking_span(params, model, t3)
         if math.isinf(span):
             return math.inf
         return initial_doing_span(params, model, t3) + span + t3 - T
@@ -219,7 +211,7 @@ def solve(params: ModelParams, model: ProgressModel, *,
                 "excess stayed nonpositive down to a vanishing final stretch")
         g_lo = excess(lo)
     tau3 = _bisect_excess(excess, lo, bar3_self, tau_tol)
-    span = thinking_span(params, model, tau3, ceiling=ceiling)
+    span = thinking_span(params, model, tau3)
     tau1 = max(T - span - tau3, 0.0)
     structure = DO_THINK_DO if tau1 > 1e-9 else THINK_DO
     return _finish(params, model, tau1, span, tau3, structure)
@@ -313,13 +305,11 @@ def solve_no_cost(params: ModelParams, model: ProgressModel,
     return _roots.brentq(gap, taus[i], taus[i + 1], 1e-9)
 
 
-def belief_thresholds(params: ModelParams, model: ProgressModel,
-                      ceiling: Optional[float] = None) -> Thresholds:
+def belief_thresholds(params: ModelParams, model: ProgressModel) -> Thresholds:
     """Belief landmarks: the no-deadline indifference belief, the
     always-open-with-doing prior, the belief-path floor, and the horizon at
     which the boundary belief meets the prior."""
-    if ceiling is None:
-        ceiling = search_ceiling(params)
+    ceiling = search_ceiling(params)
     plan = solve_infinite_horizon(params, model)
     p_hat = plan.p_hat
     if not 0.0 < p_hat < 1.0:
@@ -329,7 +319,7 @@ def belief_thresholds(params: ModelParams, model: ProgressModel,
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
 
     def mapped(p: float) -> float:
-        t = hail_mary_time(params, model, p, ceiling=ceiling)
+        t = hail_mary_time(params, model, p)
         return ((model.value(t, 1) + c)
                 / (lam * (B + c / mu - model.value(t))))
 
@@ -343,7 +333,7 @@ def belief_thresholds(params: ModelParams, model: ProgressModel,
             "fixed-point bracket absent for the always-doing prior: "
             f"f({lo:.6g}) = {f_lo:.6g}, f({hi:.6g}) = {f_hi:.6g}")
     p_tilde = _roots.brentq(f, lo, hi, 1e-10)
-    t_hat = hail_mary_time(params, model, p_hat, ceiling=ceiling)
+    t_hat = hail_mary_time(params, model, p_hat)
     p_check = posterior(p_hat, lam, t_hat)
-    t_one = hail_mary_time(params, model, params.p_bar, ceiling=ceiling)
+    t_one = hail_mary_time(params, model, params.p_bar)
     return Thresholds(p_hat, p_tilde, p_check, t_one)

@@ -106,6 +106,9 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
                              "model": {"family": "Tabulated",
                                        "taus": [0.0, 1.0, 2.0, 3.0]}}),
     ("sim_block", "sim.reps", {**BASE_CONFIG, "sim": {"reps": "many"}}),
+    ("solver_key", "solver.n_grid", {**BASE_CONFIG,
+                                     "solver": {"n_grid": 2048}}),
+    ("sim_key", "sim.sead", {**BASE_CONFIG, "sim": {"sead": 7}}),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
                                                  config):

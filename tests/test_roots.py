@@ -1,8 +1,8 @@
-"""The in-house root finder and bounded minimizer against scipy.
+"""The in-house root finder against scipy.
 
-``dblab._roots`` ports scipy's ``brentq`` and bounded ``minimize_scalar``
-operation for operation, so every comparison here is ``==`` on the double,
-not a tolerance.  scipy is the reference in these tests only.
+``dblab._roots`` ports scipy's ``brentq`` operation for operation, so every
+comparison here is ``==`` on the double, not a tolerance.  scipy is the
+reference in these tests only.
 """
 
 import dataclasses
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 from dblab import (
     ModelParams,
@@ -27,18 +26,12 @@ from dblab import (
     thinking_span,
 )
 from dblab import _roots
-from dblab._roots import brentq, minimize_bounded
+from dblab._roots import brentq
 from test_solver import _random_instance
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 XTOLS = st.sampled_from([1e-9, 1e-10, 1e-12, 2e-12, 5e-324])
-
-
-def _scipy_min(f, lo, hi, xatol=1e-12):
-    bounds = (np.float64(lo), np.float64(hi))
-    return minimize_scalar(f, bounds=bounds, method="bounded",
-                           options={"xatol": xatol}).fun
 
 
 def _outcome(call, *args, **kwargs):
@@ -116,53 +109,16 @@ def test_brentq_coerces_numpy_inputs():
 
 
 # ---------------------------------------------------------------------------
-# bounded minimizer on synthetic functions
-# ---------------------------------------------------------------------------
-
-@PROPERTY
-@given(lo=st.floats(-5.0, 5.0), width=st.floats(1e-6, 10.0),
-       at=st.floats(-0.5, 1.5), k=st.floats(0.1, 20.0))
-def test_minimizer_matches_scipy_on_unimodal(lo, width, at, k):
-    hi = lo + width
-    centre = lo + at * width
-    for f in (lambda x: (x - centre) ** 2,
-              lambda x: math.cosh(k * (x - centre)),
-              lambda x: abs(x - centre) + 0.1 * (x - centre) ** 2):
-        assert minimize_bounded(f, np.float64(lo), np.float64(hi), 1e-12) == \
-            _scipy_min(f, lo, hi)
-
-
-@PROPERTY
-@given(lo=st.floats(-5.0, 5.0), width=st.floats(0.1, 20.0),
-       k=st.floats(0.5, 30.0), tilt=st.floats(-1.0, 1.0))
-def test_minimizer_matches_scipy_on_multimodal_and_flat(lo, width, k, tilt):
-    hi = lo + width
-    for f in (lambda x: math.sin(k * x) + tilt * x,
-              lambda x: math.cos(k * x) * math.exp(-0.1 * x * x),
-              lambda x: 2.5,
-              lambda x: max(0.0, x - lo - 0.3 * width) * tilt):
-        for xatol in (1e-12, 1e-5):
-            assert minimize_bounded(f, np.float64(lo), np.float64(hi),
-                                    xatol) == _scipy_min(f, lo, hi, xatol)
-
-
-def test_minimizer_returns_plain_float_of_numpy_values():
-    f = lambda t: np.float64(t) ** 2 - np.float64(1.0)
-    got = minimize_bounded(f, np.float64(-1.0), np.float64(2.0), 1e-12)
-    assert type(got) is float and got == _scipy_min(f, -1.0, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # the real callbacks: every call the solver makes, checked against scipy
 # ---------------------------------------------------------------------------
 
 class _CrossCheck:
-    """Replace the ports with versions that also run scipy on the same
-    callback and bracket and insist on the same double."""
+    """Replace the port with a version that also runs scipy on the same
+    callback and bracket and insists on the same double."""
 
     def __init__(self, monkeypatch):
-        self.roots = self.minima = 0
-        port_root, port_min = _roots.brentq, _roots.minimize_bounded
+        self.roots = 0
+        port_root = _roots.brentq
 
         def root(f, a, b, xtol):
             got = port_root(f, a, b, xtol)
@@ -170,14 +126,7 @@ class _CrossCheck:
             self.roots += 1
             return got
 
-        def minimum(f, lo, hi, xatol):
-            got = port_min(f, lo, hi, xatol)
-            assert got == _scipy_min(f, lo, hi, xatol), (lo, hi, xatol)
-            self.minima += 1
-            return got
-
         monkeypatch.setattr(_roots, "brentq", root)
-        monkeypatch.setattr(_roots, "minimize_bounded", minimum)
 
 
 @PROPERTY
@@ -206,7 +155,7 @@ def test_solver_calls_match_scipy_on_drawn_instances(monkeypatch):
         for p in (0.2, 0.6, 0.95):
             _outcome(hail_mary_time, params, model, p)
         _outcome(belief_thresholds, params, model)
-    assert check.roots > 100 and check.minima > 100
+    assert check.roots > 100
 
 
 def test_generic_family_calls_match_scipy(monkeypatch, base_params):
@@ -221,4 +170,4 @@ def test_generic_family_calls_match_scipy(monkeypatch, base_params):
     solve(base_params, table)
     costless = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.0)
     solve_no_cost(dataclasses.replace(base_params, T=6.0), costless)
-    assert check.roots > 5 and check.minima > 0
+    assert check.roots > 5
