@@ -78,7 +78,6 @@ from .nofeedback import (
 )
 from .outcomes import (
     OutcomeSummary,
-    Schedule,
     SimConfig,
     SimResult,
     backload,
@@ -110,7 +109,7 @@ __all__ = [
     "majority_intervals",
     "NoFeedbackModel", "doing_density", "no_solution_prob",
     "progress_given_no_solution", "solution_density",
-    "OutcomeSummary", "Schedule", "SimConfig", "SimResult", "backload",
+    "OutcomeSummary", "SimConfig", "SimResult", "backload",
     "expected_work_time", "route_probabilities", "simulate", "sweep",
     "trajectory_probabilities",
     "__version__",

@@ -240,7 +240,7 @@ def cmd_verify(args) -> int:
         nf = NoFeedbackModel(mu=cfg.params.mu, nu=nu, B=cfg.params.B,
                              c=cfg.params.c, p_bar=cfg.params.p_bar,
                              lam=cfg.params.lam,
-                             limit_mode=abs(cfg.params.mu - nu) < 1e-12)
+                             limit_mode=(cfg.params.mu == nu))
         dp = dp_no_feedback(nf, cfg.params.T, grid)
     else:
         raise ValueError(f"unknown oracle kind {kind!r}")

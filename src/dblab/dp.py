@@ -278,10 +278,10 @@ def _intervals_from_path(grid: Grid, actions: tuple, path_actions: np.ndarray,
 
 
 def extract_schedule(dp: DPSolution) -> tuple:
-    """Interval list (start, end, action) along the no-arrival path; each
-    boundary carries about one step of uncertainty."""
-    return _intervals_from_path(dp.grid, dp.action_names, dp.path_actions,
-                                dp.path_gaps)
+    """Interval list (start, end, action) along the no-arrival path, as
+    stored in ``switch_times``; each boundary carries about one step of
+    uncertainty."""
+    return dp.switch_times
 
 
 def interval_taus(intervals) -> tuple:

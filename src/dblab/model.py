@@ -78,6 +78,20 @@ _SCALAR_OPS = SimpleNamespace(exp=math.exp, expm1=math.expm1, minimum=min,
                               where=lambda cond, a, b: a if cond else b)
 
 
+def _growth_ratio(x: float, tau):
+    """(exp(x*tau) - 1)/x at a scalar or array ``tau``, continuous at x = 0."""
+    if x == 0.0:
+        return tau
+    return _ops(tau).expm1(x * tau) / x
+
+
+def _exp_gap(a: float, b: float, t):
+    """(exp(-a*t) - exp(-b*t))/(b - a) at a scalar or array ``t``, and its
+    limit t*exp(-a*t) at a == b.  Both factors decay, so nothing cancels
+    or overflows next to a == b."""
+    return _ops(t).exp(-min(a, b) * t) * _growth_ratio(-abs(b - a), t)
+
+
 def _checked_ops(x, order: int = 0, top: float = sys.float_info.max,
                  name: str = "tau"):
     """:func:`_ops` of ``x`` after rejecting any entry that is not finite or

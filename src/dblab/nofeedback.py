@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import _checked_ops, _require
+from .model import _checked_ops, _exp_gap, _require
 
 
 @dataclass(frozen=True)
 class NoFeedbackModel:
     """Primitives for the unobserved-progress variant.
 
-    ``limit_mode`` must be set to allow equal stage rates, in which case the
-    two-stage race degenerates to a gamma arrival and dedicated limit
-    formulas replace the generic ones.
+    At equal stage rates the race is a gamma arrival, which every formula
+    below covers exactly.  ``limit_mode`` must still be set to allow that
+    case: it declares equal rates explicitly, and is slated for removal.
     """
 
     mu: float
@@ -41,40 +41,37 @@ class NoFeedbackModel:
         _require(self.lam > 0.0, f"lam must be positive, got {self.lam}")
         if self.mu == self.nu and not self.limit_mode:
             raise ValueError(
-                "equal stage rates require limit_mode=True (the generic "
-                "formulas are singular at mu == nu)")
+                "equal stage rates require limit_mode=True, which declares "
+                "the gamma-arrival case explicitly")
 
+
+# mu * _exp_gap(mu, nu, a) is the chance that progress has arrived by
+# thinking time a but not yet converted; survival adds exp(-mu*a), the
+# chance of no progress.
 
 def no_solution_prob(nf: NoFeedbackModel, thinking_time):
     """CDF of the thinking pipeline's solution time at accumulated thinking
     time ``thinking_time`` (scalar or array): progress followed by
     conversion."""
-    a, mu, nu = thinking_time, nf.mu, nf.nu
+    a, mu = thinking_time, nf.mu
     xp = _checked_ops(a, name="thinking_time")
-    if mu == nu:
-        return -xp.expm1(-mu * a) - mu * a * xp.exp(-mu * a)
-    return 1.0 - (mu * xp.exp(-nu * a) - nu * xp.exp(-mu * a)) / (mu - nu)
+    return -xp.expm1(-mu * a) - mu * _exp_gap(mu, nf.nu, a)
 
 
 def solution_density(nf: NoFeedbackModel, thinking_time):
     """Density of the thinking pipeline's solution time."""
-    a, mu, nu = thinking_time, nf.mu, nf.nu
-    xp = _checked_ops(a, name="thinking_time")
-    if mu == nu:
-        return mu * mu * a * xp.exp(-mu * a)
-    return (xp.exp(-nu * a) - xp.exp(-mu * a)) * mu * nu / (mu - nu)
+    _checked_ops(thinking_time, name="thinking_time")
+    return nf.mu * nf.nu * _exp_gap(nf.mu, nf.nu, thinking_time)
 
 
 def progress_given_no_solution(nf: NoFeedbackModel, thinking_time):
     """Probability that progress has already arrived, conditional on no
     solution after ``thinking_time`` of thinking.  Grows with thinking time:
     latent optimism."""
-    a, mu, nu = thinking_time, nf.mu, nf.nu
+    a, mu = thinking_time, nf.mu
     xp = _checked_ops(a, name="thinking_time")
-    if mu == nu:
-        return mu * a / (1.0 + mu * a)
-    return (mu * (xp.exp(-mu * a) - xp.exp(-nu * a))
-            / (nu * xp.exp(-mu * a) - mu * xp.exp(-nu * a)))
+    pending = mu * _exp_gap(mu, nf.nu, a)
+    return pending / (xp.exp(-mu * a) + pending)
 
 
 def doing_density(nf: NoFeedbackModel, doing_time):

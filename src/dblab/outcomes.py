@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ModelValidationError, ProgressModel, _as_taus
+from .model import (ModelParams, ModelValidationError, ProgressModel,
+                    _as_taus, _exp_gap)
 from .solver import SolverError, solve
-
-Schedule = namedtuple("Schedule", ["tau1", "tau2", "tau3"])
-
-_RATE_TOL = 1e-9
-
-
-def _rates_close(mu: float, nu: float) -> bool:
-    return abs(mu - nu) <= _RATE_TOL * max(mu, nu)
 
 
 @dataclass(frozen=True)
@@ -90,26 +82,15 @@ def route_probabilities(schedule, params: ModelParams, nu: float
     p_bar, lam, mu = params.p_bar, params.lam, params.mu
     p_do = p_bar * -math.expm1(-lam * tau1)
     pref = p_bar * math.exp(-lam * tau1) + 1.0 - p_bar
-    if _rates_close(mu, nu):
-        converted = (-math.expm1(-mu * tau2)
-                     - mu * tau2 * math.exp(-mu * (tau2 + tau3)))
-    else:
-        cross = (mu * (math.exp(-mu * tau2 - nu * tau3)
-                       - math.exp(-nu * (tau2 + tau3))) / (nu - mu))
-        converted = -math.expm1(-mu * tau2) - cross
+    # progress by the end of thinking, less what is still pending at the
+    # deadline
+    converted = (-math.expm1(-mu * tau2)
+                 - mu * _exp_gap(mu, nu, tau2) * math.exp(-nu * tau3))
     p_think = pref * converted
     p_hail = (p_bar * math.exp(-lam * tau1) * math.exp(-mu * tau2)
               * -math.expm1(-lam * tau3))
     return OutcomeSummary(p_do_initial=p_do, p_think=p_think,
                           p_hailmary=p_hail)
-
-
-def _pending_conversion_weight(mu: float, nu: float, tau2: float) -> float:
-    """Probability mass of progress that arrived during the thinking block
-    but has not converted by its end."""
-    if _rates_close(mu, nu):
-        return mu * tau2 * math.exp(-mu * tau2)
-    return mu * (math.exp(-mu * tau2) - math.exp(-nu * tau2)) / (nu - mu)
 
 
 def expected_work_time(schedule, params: ModelParams, nu: float) -> float:
@@ -118,30 +99,27 @@ def expected_work_time(schedule, params: ModelParams, nu: float) -> float:
     tau1, tau2, tau3 = _as_taus(schedule)
     p_bar, lam, mu = params.p_bar, params.lam, params.mu
     pref = p_bar * math.exp(-lam * tau1) + 1.0 - p_bar
-    # each phase integrates a sum of exponentials (and u*e^{-mu*u} at mu=nu)
+    # each phase integrates a sum of exponentials: thinking survives as
+    # exp(-mu*u) + mu*gap(u), and the mass mu*gap(tau2) still pending when
+    # thinking ends converts at rate nu
+    gap = _exp_gap(mu, nu, tau2)
     phase1 = -p_bar * math.expm1(-lam * tau1) / lam + (1.0 - p_bar) * tau1
-    if _rates_close(mu, nu):
-        alive2 = (-2.0 * math.expm1(-mu * tau2)
-                  - mu * tau2 * math.exp(-mu * tau2)) / mu
-    else:
-        alive2 = (-mu * math.expm1(-nu * tau2) / nu
-                  + nu * math.expm1(-mu * tau2) / mu) / (mu - nu)
+    alive2 = -math.expm1(-mu * tau2) / mu - math.expm1(-nu * tau2) / nu - gap
     phase3 = (math.exp(-mu * tau2)
               * (-p_bar * math.exp(-lam * tau1) * math.expm1(-lam * tau3) / lam
                  + (1.0 - p_bar) * tau3)
-              - pref * _pending_conversion_weight(mu, nu, tau2)
-              * math.expm1(-nu * tau3) / nu)
+              - pref * mu * gap * math.expm1(-nu * tau3) / nu)
     return phase1 + pref * alive2 + phase3
 
 
-def backload(schedule) -> Schedule:
+def backload(schedule) -> tuple:
     """Move the initial doing block to the end: (a, b, d) -> (0, a+b, a+d).
 
     Total doing and thinking time are preserved, but all doing now happens
     after thinking has had its chance.
     """
     tau1, tau2, tau3 = _as_taus(schedule)
-    return Schedule(0.0, tau1 + tau2, tau1 + tau3)
+    return 0.0, tau1 + tau2, tau1 + tau3
 
 
 def trajectory_probabilities(schedule, params: ModelParams, nu: float,

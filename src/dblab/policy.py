@@ -25,6 +25,7 @@ from .model import (
     Tabulated,
     _as_taus,
     _checked_ops,
+    _growth_ratio,
     _ops,
     doing_time_to_reach,
     posterior,
@@ -159,13 +160,6 @@ def preference_slope(params: ModelParams, model: ProgressModel, s: float,
             + (mu - lam * p) * c)
 
 
-def _growth_ratio(x: float, tau: float) -> float:
-    """(exp(x*tau) - 1)/x, continuous at x = 0."""
-    if x == 0.0:
-        return tau
-    return math.expm1(x * tau) / x
-
-
 def _exp_affine(model: ProgressModel):
     """``(L, nu, kappa, stop)`` for a family whose V is
     ``L*(1 - exp(-nu*t)) - kappa*t`` up to ``stop`` and flat after it, or
@@ -180,7 +174,7 @@ def _exp_affine(model: ProgressModel):
 
 
 def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
-                        p: float, xi: float, method: str = "auto") -> float:
+                        p: float, xi: float) -> float:
     """Survival-weighted accumulation of the preference slope,
     ``integral of exp(mu*s) * slope(s) over s in [0, tau]``, anchored at
     indifference (value 0 at tau = 0).
@@ -191,14 +185,9 @@ def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
     """
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if method not in ("auto", "closed", "quad"):
-        raise ValueError(f"unknown method {method!r}")
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
     affine = _exp_affine(model)
-    if method == "closed" and affine is None:
-        raise ValueError(
-            "closed form available only for exponential-affine families")
-    if affine is not None and method in ("auto", "closed"):
+    if affine is not None:
         scale, nu, kappa, stop = affine
         # past the stop time V is flat at limit(): a constant slope
         flat = p * mu * lam * (model.limit() - B) + (mu - lam * p) * c
@@ -244,7 +233,7 @@ def thinking_span(params: ModelParams, model: ProgressModel,
 
     Returns the smallest positive root of the preference integral at the
     boundary belief, or ``INFINITE`` when the preference never returns to
-    indifference below the search ceiling.
+    indifference below the search ceiling or 700/mu, whichever is smaller.
     """
     if tau3 < 0.0:
         raise ValueError(f"tau3 must be nonnegative, got {tau3}")
@@ -261,10 +250,13 @@ def thinking_span(params: ModelParams, model: ProgressModel,
         return INFINITE
     peak = _roots.brentq(lambda s: preference_slope(params, model, s, p, tau3),
                          0.0, ceiling, 1e-9)
+    # exp(mu*s) overflows a double near s = 709/mu: the search ends at
+    # 700/mu, and a preference still positive there counts as never returning
+    end = min(ceiling, 700.0 / params.mu)
     acc = lambda t: preference_integral(params, model, t, p, tau3)
-    if acc(ceiling) > 0.0:
+    if acc(end) > 0.0:
         return INFINITE
-    return _roots.brentq(acc, peak, ceiling, 1e-9)
+    return _roots.brentq(acc, peak, end, 1e-9)
 
 
 def initial_doing_span(params: ModelParams, model: ProgressModel,

@@ -142,19 +142,26 @@ def test_artifacts_match_golden_bytes(tmp_path, name, artifact):
         (DATA / name / artifact).read_bytes()
 
 
-def test_safe_and_risky_arm_runs_never_import_scipy(tmp_path):
+def test_safe_and_risky_arm_runs_never_import_scipy(tmp_path, config_path):
     # a fresh interpreter: the suite's warning filter imports scipy here.
     # The RiskyArm sweep's DO_THINK_DO points reach thinking_span, so they
     # run the closed-form preference integral.
+    def oracle_config(kind):
+        return config_path(f"{kind}.json", oracle={"kind": kind})
+
     script = f"""
 import sys
 import dblab, dblab.cli
 anchor = {str(DATA / "anchor" / "config.json")!r}
 risky = {str(DATA / "risky" / "config.json")!r}
+two_stage = {str(oracle_config("two_stage"))!r}
+no_feedback = {str(oracle_config("no_feedback"))!r}
 out = {str(tmp_path)!r}
 for cfg, argv in ((anchor, ["solve"]), (anchor, ["verify", "--dt", "2e-3"]),
                   (anchor, ["simulate"]), (risky, ["solve"]),
-                  (risky, ["simulate"]), (risky, {GOLDEN_ARGS["sweep.csv"]!r})):
+                  (risky, ["simulate"]), (risky, {GOLDEN_ARGS["sweep.csv"]!r}),
+                  (two_stage, ["verify", "--dt", "2e-3"]),
+                  (no_feedback, ["verify", "--dt", "2e-3"])):
     assert dblab.cli.main(argv + ["--config", cfg, "--out", out]) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
@@ -193,6 +200,58 @@ def test_verify_against_grid_oracle(config_path, tmp_path):
     assert report["tolerance"] == pytest.approx(5e-3)
     for got, want in zip(report["oracle"], report["solver"]):
         assert got == pytest.approx(want, abs=5e-3)
+
+
+def test_verify_two_stage_oracle(config_path, tmp_path):
+    path = config_path(oracle={"kind": "two_stage"})
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path),
+               "--dt", "2e-3"])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["kind"] == "two_stage"
+    assert report["pass"] is True
+
+
+def test_verify_no_feedback_oracle_at_and_beside_equal_rates(config_path,
+                                                             tmp_path):
+    # the anchor has nu == mu: leaving oracle.nu out takes the model's
+    # rate, and a rate 1e-13 off runs the formulas without limit_mode.
+    # At T=6 the oracle thinks after an opening doing stretch.
+    mu = BASE_CONFIG["agent"]["mu"]
+    runs = []
+    for extra in ({}, {"nu": mu}, {"nu": mu * (1.0 + 1e-13)}):
+        path = config_path(agent={"T": 6.0},
+                           oracle={"kind": "no_feedback", **extra})
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path),
+                   "--dt", "2e-3"])
+        assert rc == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        assert report["kind"] == "no_feedback" and report["pass"] is True
+        runs.append(report["oracle_intervals"])
+    assert [lab for *_, lab in runs[0]] == ["DO", "THINK"]
+    assert runs[1] == runs[0]
+    for got, want in zip(runs[2], runs[0]):
+        assert got[2] == want[2]
+        assert got[:2] == pytest.approx(want[:2], abs=1e-9)
+
+
+# the SafeArm overflow instance of test_solver.py: the preference integral's
+# weight exp(mu*s) overflows at the search ceiling
+OVERFLOW_CONFIG = {
+    "agent": {"p_bar": 0.5743445308830082, "lambda": 0.22592415899579157,
+              "mu": 9.903572970745266, "c": 2.1689338069350854,
+              "B": 23.676413668451957, "T": 1.0},
+    "model": {"family": "SafeArm", "nu": 0.6214498710840459,
+              "B_nu": 3.100251759125187, "c_nu": 0.4783599980130857},
+}
+
+
+def test_solve_past_the_exponential_range_exits_0(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_CONFIG))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "schedule.json").read_text())
+    assert payload["structure"] == "THINK_DO"
 
 
 def test_verify_do_only_config_passes(config_path, tmp_path):

@@ -6,6 +6,7 @@ identity linking the density, the hazard decomposition, and the CDF.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_equal_rates_limit():
             solution_density(erlang, a), abs=1e-6)
         assert progress_given_no_solution(near, a) == pytest.approx(
             progress_given_no_solution(erlang, a), abs=1e-6)
+
+
+def _race_reference(mu, nu, a):
+    """CDF, density and conditional progress in 40-digit decimal
+    arithmetic at the exact binary values of the inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        mu, nu, a = Decimal(mu), Decimal(nu), Decimal(a)
+        e_mu, e_nu = (-mu * a).exp(), (-nu * a).exp()
+        gap = a * e_mu if mu == nu else (e_mu - e_nu) / (nu - mu)
+        return (float(1 - e_mu - mu * gap), float(mu * nu * gap),
+                float(mu * gap / (e_mu + mu * gap)))
+
+
+@pytest.mark.parametrize("rel", [0.0] + [s * 10.0 ** -k for k in
+                                         (4, 7, 9, 11, 13, 15)
+                                         for s in (1.0, -1.0)])
+def test_race_exact_at_and_beside_equal_rates(rel):
+    mu = 1.0
+    nu = mu * (1.0 + rel)
+    nf = NoFeedbackModel(mu=mu, nu=nu, B=5.0, c=0.5, p_bar=0.75, lam=0.75,
+                         limit_mode=(mu == nu))
+    for a in (0.01, 0.5, 1.0, 4.0, 20.0):
+        got = (no_solution_prob(nf, a), solution_density(nf, a),
+               progress_given_no_solution(nf, a))
+        for value, want in zip(got, _race_reference(mu, nu, a)):
+            assert abs(value - want) <= 1e-15, (nu, a)
 
 
 def test_solution_density_anchor_and_normalization():

@@ -24,7 +24,6 @@ from dblab import (
     RiskyArm,
     SafeArm,
     Tabulated,
-    TimeVarying,
     do_throughout_value,
     doing_time_to_reach,
     hail_mary_belief,
@@ -249,10 +248,11 @@ def test_preference_integral_closed_matches_quadrature(base_params, model):
     for tau in taus:
         for p in (0.2, 0.75):
             for xi in xis:
-                closed = preference_integral(base_params, model, tau, p, xi,
-                                             method="closed")
-                numeric = preference_integral(base_params, model, tau, p, xi,
-                                              method="quad")
+                closed = preference_integral(base_params, model, tau, p, xi)
+                numeric, _ = quad(
+                    lambda s: (math.exp(base_params.mu * s) * preference_slope(
+                        base_params, model, s, p, xi)),
+                    0.0, tau, epsabs=1e-10, epsrel=1e-12, limit=200)
                 assert abs(closed - numeric) <= 1e-9, (tau, p, xi)
 
 
@@ -289,17 +289,6 @@ def test_preference_integral_exponential_families_bit_identical(rng):
         got = preference_integral(params, model, tau, p, xi)
         want = _exponential_integral_reference(params, model, tau, p, xi)
         assert got.hex() == want.hex(), (params, model, tau, p, xi)
-
-
-def test_preference_integral_closed_rejects_general_model(base_params):
-    tv = TimeVarying(nu=1.0, alpha=0.0, beta=0.1, B=5.0, c=0.5)
-    table = Tabulated(taus=(0.0, 1.0, 2.0, 3.0), values=(0.0, 2.0, 3.0, 3.5))
-    for model in (tv, table):
-        with pytest.raises(ValueError, match="closed form"):
-            preference_integral(base_params, model, 1.0, 0.5, 0.5,
-                                method="closed")
-    with pytest.raises(ValueError):
-        preference_integral(base_params, tv, 1.0, 0.5, 0.5, method="bogus")
 
 
 def test_preference_integral_dense_tabulated_solves(base_params, safe_arm):

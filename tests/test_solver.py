@@ -328,6 +328,23 @@ def test_solver_matches_dp_oracle_on_random_instances(rng):
                 f"tau3 mismatch at {p}, {model}: dp={t3} vs {sched.tau3}")
 
 
+def test_solver_matches_dp_past_the_exponential_range():
+    # mu * search_ceiling = 877: the preference integral's weight exp(mu*s)
+    # overflows a double at the ceiling, so the root search must end below it
+    params = ModelParams(p_bar=0.5743445308830082, lam=0.22592415899579157,
+                         mu=9.903572970745266, c=2.1689338069350854,
+                         B=23.676413668451957, T=1.0)
+    model = SafeArm(nu=0.6214498710840459, B_nu=3.100251759125187,
+                    c_nu=0.4783599980130857)
+    sched = solve(params, model)
+    assert sched.structure == THINK_DO
+    dp = dp_reduced(params, model, Grid.from_horizon(params.T, 1e-3),
+                    keep_values=False)
+    for got, want in zip((sched.tau1, sched.tau2, sched.tau3),
+                         _dp_taus(dp, params.T)):
+        assert abs(got - want) <= 5e-3
+
+
 # ---------------------------------------------------------------------------
 # the final-stretch search against its definition
 # ---------------------------------------------------------------------------
