@@ -34,8 +34,8 @@ ACTION_THINK = "THINK"
 ACTION_IDLE = "IDLE"
 
 _TIE_TOL = 1e-12
-# what one oracle run may keep: its policy, tie and (kept) value rows
-# and the checkpoint rows of its gap pass
+# what one oracle run may keep: its policy and (kept) value rows, the
+# path's tie masks and the checkpoint rows of its gap pass
 _BYTE_BUDGET = 1 << 30
 
 
@@ -92,7 +92,8 @@ class DPSolution:
     ``value_rows[k][m]`` is the optimal continuation value with k steps
     remaining after m unrewarded doing steps (``None`` unless kept);
     ``policy_rows`` mirrors it with action indices into ``action_names``;
-    ``tie_rows`` holds bitmasks of actions within tolerance of the best.
+    ``tie_rows[j]`` is the bitmask of the actions within tolerance of the
+    best at the j-th no-arrival path state (N - j, ``path_m[j]``).
     ``switch_times`` lists (start, end, action) intervals along the
     no-arrival path, with boundaries refined below step resolution where
     the recursion's preference gap allows it.
@@ -102,7 +103,7 @@ class DPSolution:
     root_value: float
     action_names: tuple
     policy_rows: list
-    tie_rows: list
+    tie_rows: np.ndarray
     path_actions: np.ndarray
     path_m: np.ndarray
     path_gaps: np.ndarray
@@ -131,13 +132,13 @@ def _check_grid(grid: Grid, keep_values: bool) -> None:
     N = grid.n_steps
     S = _checkpoint_stride(N)
     n_checkpoints = -(-N // S)  # rows k = 0, S, 2S, ... below N
-    need = (2 * (N * (N + 1) // 2)  # policy and tie rows, 1 byte a cell each
+    need = (N * (N + 1) // 2 + N  # policy rows and path ties, 1 byte each
             + 8 * (n_checkpoints * (N + 1)
                    - S * n_checkpoints * (n_checkpoints - 1) // 2))
     if keep_values:
         need += 8 * ((N + 1) * (N + 2) // 2)
     if need > _BYTE_BUDGET:
-        fix = ("pass keep_values=False (2 bytes a cell instead of 10)"
+        fix = ("pass keep_values=False (1 byte a cell instead of 9)"
                if keep_values else "use fewer steps")
         raise ValueError(
             f"memory budget: n_steps={N} would keep {need} bytes of tables, "
@@ -184,9 +185,13 @@ def _best_action(qs: list, row: np.ndarray,
         np.maximum(row, q, out=row)
 
 
-def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
+def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
+                          known_m: Optional[np.ndarray] = None,
+                          ties: Optional[np.ndarray] = None):
     """Forward walk assuming nothing ever arrives, resolving near-ties to
-    the incumbent action to suppress one-step flips."""
+    the incumbent action to suppress one-step flips.  The tie masks
+    ``ties[j]`` hold at the states (N - j, ``known_m[j]``) of an earlier
+    walk; elsewhere the walk follows the policy alone."""
     path_actions = np.zeros(N, dtype=np.int8)
     path_m = np.zeros(N, dtype=np.int64)
     m = 0
@@ -194,8 +199,8 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
     for j in range(N):
         k = N - j
         a = int(policy_rows[k][m])
-        if incumbent >= 0 and a != incumbent:
-            if (int(tie_rows[k][m]) >> incumbent) & 1:
+        if incumbent >= 0 and a != incumbent and known_m is not None:
+            if known_m[j] == m and (int(ties[j]) >> incumbent) & 1:
                 a = incumbent
         path_actions[j] = a
         path_m[j] = m
@@ -206,9 +211,10 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows, tie_rows):
 
 
 def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
-                     checkpoints: list, S: int) -> np.ndarray:
-    """Q_think - Q_do at every path state, rebuilt from the value rows
-    k = 0, S, 2S, ... kept by the first pass.
+                     checkpoints: list, S: int) -> tuple:
+    """Q_think - Q_do and the tie mask (the bits of the actions within
+    ``_TIE_TOL`` of the best) at every path state, rebuilt from the value
+    rows k = 0, S, 2S, ... kept by the first pass.
 
     Segment s rebuilds rows c+1..c+S from checkpoint row c = s*S, but only
     on the window of m that its path states depend on: the path's m range
@@ -217,9 +223,9 @@ def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
     the same operands as in the first pass, so its gap is bit-identical;
     cells outside the triangle read clipped coefficients and are never
     read by a cell inside it."""
-    gaps = np.zeros(N)
+    gaps, ties = np.zeros(N), np.zeros(N, dtype=np.uint8)
     if N == 0:
-        return gaps
+        return gaps, ties
     c = np.arange(0, N, S)  # each segment's checkpoint row
     # m never falls along the path (j = N - k), so a segment's path states
     # span m from lo, at its last row, to hi, at its first row c + 1
@@ -241,10 +247,13 @@ def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
         _best_action(qs, nxt[:, :n])
         live = c + t <= N  # the last segment may be partial
         j = N - t - c[live]
-        i = path_m[j] - lo[live]
-        gaps[j] = qs[1][segments[live], i] - qs[0][segments[live], i]
+        at = segments[live], path_m[j] - lo[live]
+        gaps[j] = qs[1][at] - qs[0][at]
+        floor = nxt[at] - _TIE_TOL
+        for b, q in enumerate(qs):
+            ties[j] |= (q[at] >= floor).astype(np.uint8) << b
         V, nxt = nxt, V
-    return gaps
+    return gaps, ties
 
 
 def _intervals_from_path(grid: Grid, actions: tuple, path_actions: np.ndarray,
@@ -345,7 +354,10 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
     k steps remaining on the doing counts m (a slice here).  The value row
     alternates between two buffers and is copied only to be kept.  The
     policy is the first action, in ``action_set`` order, that attains the
-    row value; the tie bits flag every action within tolerance of it."""
+    row value.  The tie bits are needed only along the no-arrival path, so
+    the gap pass supplies them: walk, rebuild the path's gaps and ties,
+    and walk again until the path stops moving.  A walk is exact up to the
+    first state off the previous path, so each pass gains a state."""
     N = grid.n_steps
     actions = grid.action_set
     S = _checkpoint_stride(N)
@@ -353,37 +365,30 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
     checkpoints = [W.copy()]
     value_rows = [checkpoints[0]] if keep_values else None
     policy_rows: list = [np.zeros(0, dtype=np.int8)]
-    tie_rows: list = [np.zeros(0, dtype=np.uint8)]
     q_do, q_th = np.empty(N), np.empty(N)
-    floor, above = np.empty(N), np.empty(N, dtype=np.uint8)
-    above_bool = above.view(bool)
-    weights = [np.uint8(1 << i) for i in range(len(actions))]
     for k in range(1, N + 1):
         n = N - k + 1
         qs = _action_values(W, coef(k, np.s_[:n]), actions, q_do[:n],
                             q_th[:n])
-        row, best = nxt[:n], np.empty(n, dtype=np.int8)
-        _best_action(qs, row, best)
-        np.subtract(row, _TIE_TOL, out=floor[:n])
-        ties = np.empty(n, dtype=np.uint8)
-        np.greater_equal(qs[0], floor[:n], out=ties.view(bool))
-        for i in range(1, len(qs)):
-            np.greater_equal(qs[i], floor[:n], out=above_bool[:n])
-            np.multiply(above[:n], weights[i], out=above[:n])
-            np.bitwise_or(ties, above[:n], out=ties)
+        best = np.empty(n, dtype=np.int8)
+        _best_action(qs, nxt[:n], best)
         policy_rows.append(best)
-        tie_rows.append(ties)
         if keep_values:
-            value_rows.append(row.copy())
+            value_rows.append(nxt[:n].copy())
         if k % S == 0 and k < N:
-            checkpoints.append(row.copy())
+            checkpoints.append(nxt[:n].copy())
         W, nxt = nxt, W
-    path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows,
-                                                 tie_rows)
-    gaps = _gaps_along_path(N, actions, path_m, coef, checkpoints, S)
+    path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows)
+    while True:
+        gaps, ties = _gaps_along_path(N, actions, path_m, coef, checkpoints, S)
+        path_actions, walked = _walk_no_arrival_path(N, actions, policy_rows,
+                                                     path_m, ties)
+        if np.array_equal(walked, path_m):
+            break
+        path_m = walked
     return DPSolution(
         grid=grid, root_value=float(W[0]), action_names=actions,
-        policy_rows=policy_rows, tie_rows=tie_rows, path_actions=path_actions,
+        policy_rows=policy_rows, tie_rows=ties, path_actions=path_actions,
         path_m=path_m, path_gaps=gaps,
         switch_times=_intervals_from_path(grid, actions, path_actions, gaps),
         value_rows=value_rows)
@@ -506,8 +511,9 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     surv = 1.0 - no_solution_prob(nf, grid.dt * np.arange(N + 2))
     arrive = 1.0 - surv[1:] / surv[:-1]
     # at (k, m) the agent has thought for N - k - m steps; m arrives as a
-    # slice (a full row) or as an index array (a gap-pass window)
-    steps = np.arange(N + 1)
-    return _assemble(grid, _step_values(nf, grid, arrive, nf.B,
-                                        lambda k, m: N - k - steps[m]),
-                     keep_values)
+    # slice (a full row, m = 0..N-k, read as a reversed view) or as an
+    # index array (a gap-pass window, gathered)
+    return _assemble(grid, _step_values(
+        nf, grid, arrive, nf.B,
+        lambda k, m: (slice(N - k, None, -1) if isinstance(m, slice)
+                      else N - k - m)), keep_values)

@@ -170,18 +170,25 @@ def solve(params: ModelParams, model: ProgressModel, *,
     # plain bisection keeps bar3 on the feasible side: q(bar3) <= p_bar
     bar3 = _largest_feasible(feasible_prior, 0.0, T, tau_tol)
 
-    q_bar = hail_mary_belief(params, model, bar3)
-    if abs(q_bar - params.p_bar) <= 1e-9:
-        # The binding point is the entry belief itself: no opening doing
-        # period; think until indifference, then do.
-        span = thinking_span(params, model, bar3)
-        if span >= T - bar3:
-            return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
-
     # Stage two: re-anchor the final stretch on its own boundary belief.
     # Entered at q(x), a stretch x is feasible iff h(x) = H(x), so the
     # longest one is the largest maximiser of h on [0, bar3].
     bar3_self = top(bar3)[1]
+    q_bar = hail_mary_belief(params, model, bar3)
+    resid = abs(q_bar - params.p_bar)
+    # The binding point is the entry belief itself: no opening doing
+    # period; think until indifference, then do.  Stage one leaves bar3
+    # within tau_tol of the binding point, so where bar3 is its own record
+    # the belief may miss p_bar by q'(bar3) times that much; the test
+    # allows two default tolerances in time, q' = (h' + lam) q (1 - q).
+    binds = resid <= 1e-9
+    if not binds and bar3_self == bar3 > 0.0:
+        slope = _decayed_log_odds(params, model, bar3, 1) + params.lam
+        binds = resid <= 2e-9 * max(1.0, slope * q_bar * (1.0 - q_bar))
+    if binds:
+        span = thinking_span(params, model, bar3)
+        if span >= T - bar3:
+            return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
     if bar3_self <= 0.0:
         raise SolverError(
             "the log-odds boundary curve peaks at zero: no final stretch in "

@@ -64,15 +64,17 @@ def test_grid_validation():
 def test_run_guards(base_params, safe_arm):
     with pytest.raises(CoarseGridError):
         dp_reduced(base_params, safe_arm, Grid(0.02, 90))
-    # the byte budget refuses before allocating: 2 bytes a policy/tie cell
-    # (441021000), 8 a kept value cell (1764252008) and 8 a checkpoint cell
-    # of the gap pass (12335248) exceed 1 GiB; without the values they fit
+    # the byte budget refuses before allocating: 1 byte a policy cell and a
+    # path tie mask (220531500), 8 a kept value cell (1764252008) and 8 a
+    # checkpoint cell of the gap pass (12335248) exceed 1 GiB; without the
+    # values they fit, up to about N = 45,500
     with pytest.raises(ValueError, match=r"n_steps=21000 would keep "
-                       r"2217608256 bytes .*keep_values=False"):
+                       r"1997118756 bytes .*keep_values=False"):
         dp_reduced(base_params, safe_arm, Grid(1e-4, 21_000))
     _check_grid(Grid(1e-4, 21_000), keep_values=False)
-    with pytest.raises(ValueError, match="n_steps=40000"):
-        _check_grid(Grid(1e-4, 40_000), keep_values=False)
+    _check_grid(Grid(1e-4, 40_000), keep_values=False)
+    with pytest.raises(ValueError, match="n_steps=50000"):
+        _check_grid(Grid(1e-4, 50_000), keep_values=False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +298,9 @@ def _sha256(rows) -> str:
 
 def _fingerprint(dp) -> dict:
     """Exact record of one oracle run: root value, switch intervals, and
-    hashes of the preference gaps and of the kept tables' bytes."""
-    tables = list(dp.policy_rows) + list(dp.tie_rows)
+    hashes of the preference gaps and of the bytes of the policy rows, the
+    path's tie masks and the kept value rows."""
+    tables = list(dp.policy_rows) + [dp.tie_rows]
     if dp.value_rows is not None:
         tables += list(dp.value_rows)
     return {
@@ -313,7 +316,8 @@ def _fingerprint(dp) -> dict:
 def test_oracle_matches_golden(name):
     dp = _golden_cases()[name]()
     assert all(r.dtype == np.int8 for r in dp.policy_rows)
-    assert all(r.dtype == np.uint8 for r in dp.tie_rows)
+    assert dp.tie_rows.dtype == np.uint8
+    assert dp.tie_rows.shape == (dp.grid.n_steps,)
     assert dp.value_rows is None or all(r.dtype == np.float64
                                         for r in dp.value_rows)
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
@@ -322,15 +326,16 @@ def test_oracle_matches_golden(name):
 
 def test_tie_goes_to_first_action_with_both_bits_set():
     # identical DO and THINK rows at every state: the first action in
-    # action-set order is chosen and both are flagged as tied.  Both Q
-    # rows are W + 1 (coefficients a = b = 1); every value row is flat, so
-    # DO reading W[m + 1] and THINK reading W[m] see the same value
+    # action-set order is chosen, and both are flagged as tied at every
+    # state of the no-arrival path.  Both Q rows are W + 1 (coefficients
+    # a = b = 1); every value row is flat, so DO reading W[m + 1] and THINK
+    # reading W[m] see the same value
     grid = Grid(1e-3, 6, (ACTION_THINK, ACTION_DO))
     dp = _assemble(grid, lambda k, m: (1.0, 1.0, 1.0, 1.0), False)
     assert grid.action_set[0] == ACTION_DO
     for k in range(1, grid.n_steps + 1):
         assert np.all(dp.policy_rows[k] == 0)
-        assert np.all(dp.tie_rows[k] == 0b11)
+    assert np.all(dp.tie_rows == 0b11)
     assert dp.root_value == 6.0
     assert set(dp.path_action_labels()) == {ACTION_DO}
 
@@ -374,6 +379,23 @@ def _plain_recursion(grid: Grid, coef, path_m: np.ndarray):
     return policy_rows, tie_rows, gaps
 
 
+def _full_table_walk(N: int, actions: tuple, policy_rows, tie_rows):
+    """Reference: the forward no-arrival walk over the full tie table,
+    keeping the incumbent action wherever its tie bit is set."""
+    path_actions = np.zeros(N, dtype=np.int8)
+    path_m = np.zeros(N, dtype=np.int64)
+    m, incumbent = 0, -1
+    for j in range(N):
+        a = int(policy_rows[N - j][m])
+        if incumbent >= 0 and (int(tie_rows[N - j][m]) >> incumbent) & 1:
+            a = incumbent
+        path_actions[j], path_m[j] = a, m
+        if actions[a] == ACTION_DO:
+            m += 1
+        incumbent = a
+    return path_actions, path_m
+
+
 def _gap_pass_case(variant: str, n_steps: int):
     crit9 = ModelParams(p_bar=0.8, lam=1.0, mu=0.4, c=0.5, B=9.0, T=6.0)
     at4 = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=4.0)
@@ -394,29 +416,58 @@ def _gap_pass_case(variant: str, n_steps: int):
     return dp_no_feedback(nf, grid.horizon, grid)
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 5, 17, 1001])
-@pytest.mark.parametrize("variant", ["pure", "idle", "rich", "two_stage",
-                                     "no_feedback", "no_feedback_limit"])
-def test_gap_pass_matches_plain_recursion(monkeypatch, variant, n_steps):
-    # checkpoint stride isqrt(N) does not divide N for 5, 17 and 1001, so
-    # the last segment of the gap pass is partial
-    seen = []
-    assemble = dp_module._assemble
+def _check_against_plain_recursion(monkeypatch, run) -> int:
+    """Run one oracle call, compare it with the plain recursion and the
+    full-table walk byte for byte, and return its number of gap passes."""
+    seen, passes = [], []
+    assemble, gap_pass = dp_module._assemble, dp_module._gaps_along_path
 
     def spy(grid, coef, keep_values):
         seen.append(coef)
         return assemble(grid, coef, keep_values)
 
+    def counted(*args):
+        passes.append(args)
+        return gap_pass(*args)
+
     monkeypatch.setattr(dp_module, "_assemble", spy)
-    dp = _gap_pass_case(variant, n_steps)
+    monkeypatch.setattr(dp_module, "_gaps_along_path", counted)
+    dp = run()
     policy_rows, tie_rows, gaps = _plain_recursion(dp.grid, seen[0], dp.path_m)
 
     def raw(rows):
         return [(r.dtype, r.tobytes()) for r in rows]
 
     assert raw(dp.policy_rows) == raw(policy_rows)
-    assert raw(dp.tie_rows) == raw(tie_rows)
+    N = dp.grid.n_steps
+    path_ties = np.array([tie_rows[N - j][dp.path_m[j]] for j in range(N)],
+                         dtype=np.uint8)
+    assert raw([dp.tie_rows]) == raw([path_ties])
+    path_actions, path_m = _full_table_walk(N, dp.grid.action_set,
+                                            policy_rows, tie_rows)
+    assert raw([dp.path_actions, dp.path_m]) == raw([path_actions, path_m])
     assert dp.path_gaps.tobytes() == gaps.tobytes()
+    return len(passes)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 5, 17, 1001])
+@pytest.mark.parametrize("variant", ["pure", "idle", "rich", "two_stage",
+                                     "no_feedback", "no_feedback_limit"])
+def test_gap_pass_matches_plain_recursion(monkeypatch, variant, n_steps):
+    # checkpoint stride isqrt(N) does not divide N for 5, 17 and 1001, so
+    # the last segment of the gap pass is partial
+    _check_against_plain_recursion(
+        monkeypatch, lambda: _gap_pass_case(variant, n_steps))
+
+
+def test_second_gap_pass_matches_full_table_walk(monkeypatch):
+    # on the criterion-9 two-stage run the walk on the policy alone leaves
+    # the tie-resolved path, so the path's ties take a second gap pass
+    crit9 = ModelParams(p_bar=0.8, lam=1.0, mu=0.4, c=0.5, B=9.0, T=6.0)
+    safe = SafeArm(nu=0.5, B_nu=10.25, c_nu=0.0)
+    passes = _check_against_plain_recursion(
+        monkeypatch, lambda: dp_two_stage(crit9, safe, Grid(2e-3, 1800)))
+    assert passes == 2
 
 
 def _write_goldens() -> None:

@@ -345,6 +345,25 @@ def test_solver_matches_dp_past_the_exponential_range():
         assert abs(got - want) <= 5e-3
 
 
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_solver_matches_dp_where_the_entry_belief_binds(T):
+    # the prior binds, but stage one's bisection leaves q(bar3) 1.04e-9
+    # from p_bar, where q' = 1.17: outside a fixed 1e-9 window in belief,
+    # inside two tolerances in time.  The schedule is THINK_DO
+    params = ModelParams(p_bar=0.33871153438068924, lam=0.4338442064312078,
+                         mu=1.287333771821863, c=0.054943772189583046,
+                         B=2.5757320058278683, T=T)
+    model = SafeArm(nu=0.7185594043868812, B_nu=2.7444711848618937,
+                    c_nu=0.34364159659950455)
+    sched = solve(params, model, validate=False)
+    dt = 2e-3
+    dp = dp_reduced(params, model, Grid.from_horizon(T, dt),
+                    keep_values=False)
+    for got, want in zip((sched.tau1, sched.tau2, sched.tau3),
+                         _dp_taus(dp, T)):
+        assert abs(got - want) <= 5.0 * dt
+
+
 # ---------------------------------------------------------------------------
 # the final-stretch search against its definition
 # ---------------------------------------------------------------------------
