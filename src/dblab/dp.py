@@ -191,20 +191,25 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
     """Forward walk assuming nothing ever arrives, resolving near-ties to
     the incumbent action to suppress one-step flips.  The tie masks
     ``ties[j]`` hold at the states (N - j, ``known_m[j]``) of an earlier
-    walk; elsewhere the walk follows the policy alone."""
+    walk; elsewhere the walk follows the policy alone.  The walk is a
+    scalar loop, so it reads and writes the arrays through memoryviews,
+    which trade in Python ints instead of numpy scalars."""
+    does = [a == ACTION_DO for a in actions]
     path_actions = np.zeros(N, dtype=np.int8)
     path_m = np.zeros(N, dtype=np.int64)
+    acts, ms = memoryview(path_actions), memoryview(path_m)
+    if known_m is not None:
+        known_m, ties = memoryview(known_m), memoryview(ties)
     m = 0
     incumbent = -1
     for j in range(N):
-        k = N - j
-        a = int(policy_rows[k][m])
-        if incumbent >= 0 and a != incumbent and known_m is not None:
-            if known_m[j] == m and (int(ties[j]) >> incumbent) & 1:
-                a = incumbent
-        path_actions[j] = a
-        path_m[j] = m
-        if actions[a] == ACTION_DO:
+        a = policy_rows[N - j].item(m)
+        if (a != incumbent and incumbent >= 0 and known_m is not None
+                and known_m[j] == m and ties[j] >> incumbent & 1):
+            a = incumbent
+        acts[j] = a
+        ms[j] = m
+        if does[a]:
             m += 1
         incumbent = a
     return path_actions, path_m

@@ -47,6 +47,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Monte Carlo estimates with their standard errors.  With one
+    replication the work-time spread is undefined, so ``work_se`` is NaN
+    (returned without a warning)."""
+
     success_rate: float
     success_se: float
     work_mean: float
@@ -154,6 +158,40 @@ def trajectory_probabilities(schedule, params: ModelParams, nu: float,
             "p_neither": p_neither}
 
 
+_BLOCK = 1 << 14  # replications per block of `simulate`
+
+
+def _block_sizes(reps: int):
+    return (min(_BLOCK, reps - start) for start in range(0, reps, _BLOCK))
+
+
+def _variable_streams(seed: int, reps: int) -> list:
+    """Four generators at the starts of the four variable-major arrays of
+    one Philox stream: solvability, doing clock, progress clock and
+    conversion clock, each ``reps`` long.
+
+    A uniform draw takes one 64-bit word, so the solvability array is
+    skipped by count.  An exponential draw takes a data-dependent number
+    of words, so a scout draws the two middle arrays block by block into
+    one buffer and discards them."""
+    bitgen = np.random.Philox(key=seed)
+    scout = np.random.Generator(bitgen)
+    states = [bitgen.state]
+    bitgen.random_raw(reps, output=False)
+    states.append(bitgen.state)
+    buf = np.empty(min(reps, _BLOCK))
+    for _ in range(2):
+        for n in _block_sizes(reps):
+            scout.standard_exponential(out=buf[:n])
+        states.append(bitgen.state)
+    streams = []
+    for state in states:
+        stream = np.random.Philox(key=seed)
+        stream.state = state
+        streams.append(np.random.Generator(stream))
+    return streams
+
+
 def simulate(schedule, params: ModelParams, nu: float,
              config: SimConfig = SimConfig()) -> SimResult:
     """Monte Carlo of the schedule against the true process.
@@ -162,39 +200,58 @@ def simulate(schedule, params: ModelParams, nu: float,
     random quantity (solvability, doing clock, progress clock, conversion
     clock), each of length ``reps``, in that fixed order, so replication
     j reads column j of every array and results are reproducible for a
-    given (seed, reps) pair.
+    given (seed, reps) pair.  The arrays are read in blocks of ``_BLOCK``
+    columns, one generator per array, so memory does not depend on
+    ``reps``.  The success count is an exact integer; the work-time mean
+    and variance of each block are merged into the running totals with
+    the pairwise update of Chan, Golub and LeVeque.
     """
     tau1, tau2, tau3 = _as_taus(schedule)
     T = tau1 + tau2 + tau3
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
     reps = config.reps
-    solvable = rng.random(reps) < params.p_bar
-    t_do = rng.exponential(1.0 / params.lam, reps)
-    t_think = rng.exponential(1.0 / params.mu, reps)
-    t_conv = rng.exponential(1.0 / nu, reps)
+    streams = _variable_streams(config.seed, reps)
+    scales = (1.0 / params.lam, 1.0 / params.mu, 1.0 / nu)
+    draws = np.empty((4, min(reps, _BLOCK)))
+    wins, count, mean, m2 = 0, 0, 0.0, 0.0
+    for n in _block_sizes(reps):
+        u, t_do, t_think, t_conv = draws[:, :n]
+        streams[0].random(out=u)
+        for stream, scale, clock in zip(streams[1:], scales,
+                                        (t_do, t_think, t_conv)):
+            stream.standard_exponential(out=clock)
+            np.multiply(clock, scale, out=clock)
+        solvable = u < params.p_bar
 
-    # The doing clock is shared by both doing blocks: by memorylessness the
-    # time-on-arm until a doing arrival is a single exponential draw.
-    early = solvable & (t_do < tau1)
-    progress = t_think < tau2
-    convert = progress & (t_think + t_conv <= tau2 + tau3)
-    hail = solvable & ~progress & (t_do >= tau1) & (t_do < tau1 + tau3)
+        # The doing clock is shared by both doing blocks: by memorylessness
+        # the time-on-arm until a doing arrival is a single exponential.
+        early = solvable & (t_do < tau1)
+        progress = t_think < tau2
+        convert = progress & (t_think + t_conv <= tau2 + tau3)
+        hail = (solvable & ~progress & (t_do >= tau1)
+                & (t_do < tau1 + tau3))
+        wins += int(np.count_nonzero(early | convert | hail))
 
-    success = early | convert | hail
-    sol_time = np.full(reps, np.inf)
-    sol_time[early] = t_do[early]
-    t_convert = tau1 + t_think + t_conv
-    sol_time[convert] = np.minimum(sol_time[convert], t_convert[convert])
-    t_hail = tau2 + t_do
-    sol_time[hail] = np.minimum(sol_time[hail], t_hail[hail])
-    work = np.minimum(sol_time, T)
+        # An early arrival precedes any conversion, and the hail-mary
+        # route excludes both, so each success has one arrival time.
+        work = np.where(convert, tau1 + t_think + t_conv, T)
+        np.copyto(work, tau2 + t_do, where=hail)
+        np.minimum(work, T, out=work)
+        np.copyto(work, t_do, where=early)
 
-    rate = float(success.mean())
+        block_mean = float(work.mean())
+        work -= block_mean
+        block_m2 = float(np.square(work, out=work).sum())
+        delta = block_mean - mean
+        count += n
+        mean += delta * n / count
+        m2 += block_m2 + delta * delta * (count - n) * n / count
+
+    rate = wins / reps
     rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / reps)
-    work_mean = float(work.mean())
-    work_se = float(work.std(ddof=1) / math.sqrt(reps))
+    work_se = (math.sqrt(m2 / (reps - 1)) / math.sqrt(reps) if reps > 1
+               else math.nan)
     return SimResult(success_rate=rate, success_se=rate_se,
-                     work_mean=work_mean, work_se=work_se,
+                     work_mean=mean, work_se=work_se,
                      reps=reps, seed=config.seed)
 
 

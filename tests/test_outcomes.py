@@ -9,11 +9,17 @@ checked exactly.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import dblab
 from dblab import (
     OutcomeSummary,
     SimConfig,
@@ -24,7 +30,7 @@ from dblab import (
     sweep,
     trajectory_probabilities,
 )
-from dblab.outcomes import conversion_rate
+from dblab.outcomes import _BLOCK, SimResult, conversion_rate
 
 SCHED = (0.0, 0.7, 1.2)
 NU = 1.0
@@ -193,6 +199,98 @@ def test_simulate_deterministic(base_params):
     assert first == second
     other = simulate(SCHED, base_params, NU, SimConfig(reps=50_000, seed=32))
     assert other.success_rate != first.success_rate
+
+
+def _simulate_full_arrays(schedule, params, nu, config):
+    """The full-array Monte Carlo that `simulate` streams in blocks: each
+    variable-major draw array and every mask held at once.  It is the
+    reference for the blocked draws; with one replication ``std(ddof=1)``
+    is undefined (numpy warns), so it returns NaN there."""
+    tau1, tau2, tau3 = schedule
+    T = tau1 + tau2 + tau3
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    reps = config.reps
+    solvable = rng.random(reps) < params.p_bar
+    t_do = rng.exponential(1.0 / params.lam, reps)
+    t_think = rng.exponential(1.0 / params.mu, reps)
+    t_conv = rng.exponential(1.0 / nu, reps)
+    early = solvable & (t_do < tau1)
+    progress = t_think < tau2
+    convert = progress & (t_think + t_conv <= tau2 + tau3)
+    hail = solvable & ~progress & (t_do >= tau1) & (t_do < tau1 + tau3)
+    success = early | convert | hail
+    sol_time = np.full(reps, np.inf)
+    sol_time[early] = t_do[early]
+    t_convert = tau1 + t_think + t_conv
+    sol_time[convert] = np.minimum(sol_time[convert], t_convert[convert])
+    t_hail = tau2 + t_do
+    sol_time[hail] = np.minimum(sol_time[hail], t_hail[hail])
+    work = np.minimum(sol_time, T)
+    rate = float(success.mean())
+    rate_se = math.sqrt(max(rate * (1.0 - rate), 0.0) / reps)
+    work_se = (float(work.std(ddof=1) / math.sqrt(reps)) if reps > 1
+               else math.nan)
+    return SimResult(success_rate=rate, success_se=rate_se,
+                     work_mean=float(work.mean()), work_se=work_se,
+                     reps=reps, seed=config.seed)
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("reps", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  3 * _BLOCK + 5, 200_000])
+def test_simulate_blocks_read_the_full_array_draws(base_params, reps, seed):
+    # every route is live on this schedule: early doing, conversion and
+    # the hail-mary return
+    sched, cfg = (0.3, 0.7, 0.9), SimConfig(reps=reps, seed=seed)
+    got = simulate(sched, base_params, NU, cfg)
+    want = _simulate_full_arrays(sched, base_params, NU, cfg)
+    assert got.success_rate == want.success_rate
+    assert got.success_se == want.success_se
+    assert got.work_mean == pytest.approx(want.work_mean, rel=1e-12)
+    if reps == 1:
+        assert math.isnan(got.work_se) and math.isnan(want.work_se)
+    else:
+        assert got.work_se == pytest.approx(want.work_se, rel=1e-12)
+    assert (got.reps, got.seed) == (reps, seed)
+
+
+def test_simulate_one_replication_does_not_warn(base_params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = simulate(SCHED, base_params, NU, SimConfig(reps=1, seed=4))
+    assert math.isnan(sim.work_se)
+    assert sim.success_rate in (0.0, 1.0) and sim.success_se == 0.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_simulate_memory_does_not_grow_with_reps(base_params):
+    # The child's peak RSS (VmHWM) grows by what one call at 10^6 reps
+    # holds at once; the full-array version grew by ~75 MB.  ru_maxrss is
+    # no use here: a spawned child starts from the spawning process's
+    # peak.  The reps=1 call loads numpy.random before the measurement.
+    script = f"""
+from dblab import ModelParams, SimConfig, simulate
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+params = ModelParams(**{dataclasses.asdict(base_params)!r})
+simulate({SCHED!r}, params, {NU!r}, SimConfig(reps=1))
+before = peak_kb()
+simulate({SCHED!r}, params, {NU!r}, SimConfig(reps=1_000_000, seed=7))
+print(peak_kb() - before)
+"""
+    src = str(Path(dblab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    grown_kb = int(proc.stdout)
+    assert grown_kb < 16 * 1024, grown_kb
 
 
 def test_simulate_hopeless_arm(base_params):
