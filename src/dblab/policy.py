@@ -33,15 +33,17 @@ from .model import (
 )
 
 INFINITE = math.inf
+_CEILING_T = 4.0  # time-axis searches run to this many horizons
+_PROFILE_STEPS = 4096  # switching-profile steps over the horizon
 
 
 class SearchCeilingError(RuntimeError):
     """A bracketing search hit its ceiling without finding the target."""
 
 
-def search_ceiling(params: ModelParams, multiplier: float = 4.0) -> float:
+def search_ceiling(params: ModelParams) -> float:
     """Default upper end for time-axis root searches."""
-    return max(20.0 / params.mu, 20.0 / params.lam, multiplier * params.T)
+    return max(20.0 / params.mu, 20.0 / params.lam, _CEILING_T * params.T)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ class SwitchingDiagnostics:
 
 
 def switching_profile(params: ModelParams, model: ProgressModel,
-                      schedule, n_steps: int = 4096) -> SwitchingDiagnostics:
+                      schedule) -> SwitchingDiagnostics:
     """Integrate the co-state correction along the schedule's action path
     and reconstruct the relative preference for thinking on a sample grid.
 
@@ -345,7 +347,7 @@ def switching_profile(params: ModelParams, model: ProgressModel,
     if tau1 > 0.0:
         segments.append((tau3 + tau2, T, 1.0))
 
-    h_target = T / n_steps if T > 0.0 else 1.0
+    h_target = T / _PROFILE_STEPS if T > 0.0 else 1.0
     grids = [np.zeros(1)]
     actions = []  # action on the cell ending at the matching grid point
     steps = [np.zeros(1)]

@@ -5,12 +5,15 @@ opening doing period (length tau1), a thinking period (tau2), and a final
 "Hail Mary" doing period (tau3).  The solver pins the final stretch first
 via the boundary-belief curve, then works backward: if the prior already
 sits on the boundary the schedule is think-then-do; otherwise an opening
-doing period drags the belief down to the boundary and the three lengths
-are balanced against the horizon by a bracketed root search.
+doing period drags the belief down to the boundary, and tau3 inverts the
+decreasing horizon map F(t3) = t3 + thinking_span(t3) + initial_doing_span(t3).
+Below some t3* the span is infinite (the agent leaves the idea and returns to
+it only at the end): past F(t3*), tau3 stays at t3* and thinking takes the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -97,6 +100,7 @@ class InfiniteHorizonPlan:
 # ---------------------------------------------------------------------------
 
 _GRID = 4096  # samples of the log-odds curve on [0, T]
+_NO_COST_SCAN = 1024  # cells of the costless benchmark's crossing scan
 
 
 def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
@@ -128,16 +132,16 @@ def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
     return top
 
 
-def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> float:
-    """Largest x in [lo, hi] with feasible(x), given feasible(lo) and not
-    feasible(hi); plain bisection."""
+def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> tuple:
+    """Bracket (lo, hi) at most tau_tol wide on the largest x with feasible(x),
+    given feasible(lo) and not feasible(hi); plain bisection."""
     while hi - lo > tau_tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,9 @@ def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> float:
 def solve(params: ModelParams, model: ProgressModel, *,
           tau_tol: float = 1e-9, validate: bool = True) -> PolicySchedule:
     """Compute the unique optimal schedule for the given primitives.
+
+    Stage three solves F(tau3) = T by one bracketed ``brentq``, or takes
+    t3* when F(t3*) <= T, and sets tau1 = initial_doing_span(tau3).
 
     Raises :class:`ModelValidationError` when the value-of-progress model
     fails its standing conditions and :class:`SolverError` when a root
@@ -168,7 +175,7 @@ def solve(params: ModelParams, model: ProgressModel, *,
     if feasible_prior(T):
         return _finish(params, model, 0.0, 0.0, T, DO_ONLY)
     # plain bisection keeps bar3 on the feasible side: q(bar3) <= p_bar
-    bar3 = _largest_feasible(feasible_prior, 0.0, T, tau_tol)
+    bar3 = _largest_feasible(feasible_prior, 0.0, T, tau_tol)[0]
 
     # Stage two: re-anchor the final stretch on its own boundary belief.
     # Entered at q(x), a stretch x is feasible iff h(x) = H(x), so the
@@ -185,57 +192,43 @@ def solve(params: ModelParams, model: ProgressModel, *,
     if not binds and bar3_self == bar3 > 0.0:
         slope = _decayed_log_odds(params, model, bar3, 1) + params.lam
         binds = resid <= 2e-9 * max(1.0, slope * q_bar * (1.0 - q_bar))
-    if binds:
-        span = thinking_span(params, model, bar3)
-        if span >= T - bar3:
-            return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
+    span = functools.cache(functools.partial(thinking_span, params, model))
+    if binds and span(bar3) >= T - bar3:
+        return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
     if bar3_self <= 0.0:
         raise SolverError(
             "the log-odds boundary curve peaks at zero: no final stretch in "
             f"(0, {bar3}] is feasible from its own boundary belief")
 
-    # Stage three: balance the three period lengths against the horizon.
-    def excess(t3: float) -> float:
-        span = thinking_span(params, model, t3)
-        if math.isinf(span):
-            return math.inf
-        return initial_doing_span(params, model, t3) + span + t3 - T
-
-    g_hi = excess(bar3_self)
-    if g_hi > 1e-9:
-        lo_probe = max(bar3_self * 1e-6, 1e-12)
+    # Stage three: invert the horizon map F on (0, bar3_self].
+    F = lambda t3: t3 + span(t3) + initial_doing_span(params, model, t3)
+    if F(bar3_self) > T + 1e-9:
         raise SolverError(
-            "no feasible balance of period lengths: excess at "
-            f"{lo_probe:.3g} is {excess(lo_probe):.6g}, excess at "
-            f"{bar3_self:.6g} is {g_hi:.6g}")
-    # The opening stretch blows up as the final stretch shrinks, so a lower
-    # end with positive excess always exists.
-    lo, g_lo = bar3_self, g_hi
-    while g_lo <= 0.0:
-        lo *= 0.25
+            "no feasible balance of period lengths: F at the longest final "
+            f"stretch {bar3_self:.6g} is {F(bar3_self):.6g} > T = {T:.6g}")
+    tau3 = _final_stretch(F, span, bar3_self, T, tau_tol)
+    tau1 = initial_doing_span(params, model, tau3)
+    structure = DO_THINK_DO if tau1 > 1e-9 else THINK_DO
+    return _finish(params, model, tau1, T - tau1 - tau3, tau3, structure)
+
+
+def _final_stretch(F, span, upper: float, T: float, tau_tol: float) -> float:
+    """The root of F(t3) = T in (0, upper], or upper where F(upper) >= T.
+
+    F grows without bound as t3 shrinks, so walking down from upper finds a
+    lower end with F > T.  Where the span is infinite there, bisection finds
+    t3*, the finite side of the jump, which is the answer if F(t3*) <= T."""
+    lo = hi = upper
+    while F(lo) < T:
+        lo, hi = 0.25 * lo, lo
         if lo < 1e-14:
             raise SolverError(
-                "excess stayed nonpositive down to a vanishing final stretch")
-        g_lo = excess(lo)
-    tau3 = _bisect_excess(excess, lo, bar3_self, tau_tol)
-    span = thinking_span(params, model, tau3)
-    tau1 = max(T - span - tau3, 0.0)
-    structure = DO_THINK_DO if tau1 > 1e-9 else THINK_DO
-    return _finish(params, model, tau1, span, tau3, structure)
-
-
-def _bisect_excess(excess, lo: float, hi: float, tau_tol: float) -> float:
-    """Bisect for the zero of a decreasing excess function on [lo, hi]."""
-    while hi - lo > tau_tol:
-        mid = 0.5 * (lo + hi)
-        g = excess(mid)
-        if abs(g) <= 1e-9 and math.isfinite(g):
-            return mid
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+                "F stayed below the horizon down to a vanishing final stretch")
+    if math.isinf(span(lo)):
+        _, lo = _largest_feasible(lambda t: math.isinf(span(t)), lo, hi, tau_tol)
+        if F(lo) <= T:
+            return lo
+    return _roots.brentq(lambda t: F(t) - T, lo, hi, tau_tol) if lo < hi else hi
 
 
 def _finish(params: ModelParams, model: ProgressModel, tau1: float,
@@ -281,8 +274,8 @@ def solve_infinite_horizon(params: ModelParams,
     return InfiniteHorizonPlan(p_hat, 0.0, "THINK_THROUGHOUT")
 
 
-def solve_no_cost(params: ModelParams, model: ProgressModel,
-                  n_scan: int = 1024) -> Union[float, str]:
+def solve_no_cost(params: ModelParams,
+                  model: ProgressModel) -> Union[float, str]:
     """Costless benchmark: the first horizon at which the prior crosses the
     boundary curve, under the convention that effort is free and progress
     is eventually worth the full reward.
@@ -303,7 +296,7 @@ def solve_no_cost(params: ModelParams, model: ProgressModel,
 
     if params.T <= 0.0:
         return DO_THROUGHOUT
-    taus = np.linspace(0.0, params.T, n_scan + 1)
+    taus = np.linspace(0.0, params.T, _NO_COST_SCAN + 1)
     vals = gap(taus)
     crossings = np.where((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
     if crossings.size == 0:

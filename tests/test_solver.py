@@ -128,7 +128,7 @@ def test_solve_accepts_numpy_scalar_params(base_params, safe_arm):
 
 
 def test_schedule_fields_are_plain_floats(base_params, safe_arm):
-    # the excess bisection starts from numpy grid points here, and an
+    # the horizon-map root search starts from numpy grid points here, and an
     # integer T would pass straight through DO_ONLY; both report floats
     do_think_do = solve(ModelParams(p_bar=0.4, lam=1.9, mu=1.0, c=0.2, B=7.0,
                                     T=2.0),
@@ -364,6 +364,76 @@ def test_solver_matches_dp_where_the_entry_belief_binds(T):
         assert abs(got - want) <= 5.0 * dt
 
 
+def _wide_instance(rng, family):
+    """Draw a validated parameter set over the wide ranges: p_bar in
+    (.05, .98), lam, mu and nu in [.1, 10], B and B_nu in [1, 31], c in
+    [0, 3], c_nu in [0, 2], with p_bar_nu in (.05, .98) for RiskyArm."""
+    while True:
+        params = ModelParams(p_bar=rng.uniform(0.05, 0.98),
+                             lam=rng.uniform(0.1, 10.0),
+                             mu=rng.uniform(0.1, 10.0), c=rng.uniform(0.0, 3.0),
+                             B=rng.uniform(1.0, 31.0), T=1.0)
+        nu = rng.uniform(0.1, 10.0)
+        try:
+            if family == "SafeArm":
+                model = SafeArm(nu=nu, B_nu=rng.uniform(1.0, 31.0),
+                                c_nu=rng.uniform(0.0, 2.0))
+            elif family == "PayoffStream":
+                model = PayoffStream(nu=nu, B_nu=rng.uniform(1.0, 31.0))
+            else:
+                model = RiskyArm(p_bar_nu=rng.uniform(0.05, 0.98), nu=nu,
+                                 B_nu=rng.uniform(1.0, 31.0),
+                                 c_nu=rng.uniform(0.0, 2.0))
+        except ModelValidationError:
+            continue
+        if validate_model(params, model).overall:
+            return params, model
+
+
+def _assert_matches_dp(params, model, dt):
+    sched = solve(params, model, validate=False)
+    dp = dp_reduced(params, model, Grid.from_horizon(params.T, dt),
+                    keep_values=False)
+    want = _dp_taus(dp, params.T)
+    got = (sched.tau1, sched.tau2, sched.tau3)
+    assert all(abs(g - w) <= 5.0 * dt for g, w in zip(got, want)), (
+        f"{got} vs dp {want} at {params}, {model}")
+
+
+def test_solver_matches_dp_over_the_wide_range(rng):
+    # wide draws reach the regime where the thinking span jumps to
+    # infinity below some final stretch t3*: past F(t3*) the final stretch
+    # stays at t3* and thinking takes the extra horizon
+    for family in ("SafeArm", "PayoffStream", "RiskyArm"):
+        for _ in range(4):
+            params, model = _wide_instance(rng, family)
+            for T in (0.5, 2.0, 8.0):
+                _assert_matches_dp(dataclasses.replace(params, T=T), model,
+                                   2e-3)
+
+
+def test_solver_matches_dp_past_the_thinking_span_jump():
+    params = ModelParams(p_bar=0.9380721045086288, lam=6.359997284023371,
+                         mu=7.2368046874098475, c=2.38065262863355,
+                         B=22.805669981003064, T=4.0)
+    model = SafeArm(nu=9.762059738671445, B_nu=12.53970515996461,
+                    c_nu=1.3239438615265038)
+    _assert_matches_dp(params, model, 1e-3)
+
+
+def test_steep_opening_stretch_is_resolved_to_the_bracket():
+    # d(tau1)/d(tau3) is about 4e4 here, so tau1 must come from tau3
+    # through the opening-stretch map, not from the horizon's residual
+    params = ModelParams(p_bar=0.3973, lam=1.715, mu=1.641, c=0.1950,
+                         B=3.767, T=8.0)
+    model = RiskyArm(p_bar_nu=0.5810, nu=2.884, B_nu=2.378, c_nu=0.5900)
+    got, ref = solve(params, model), solve(params, model, tau_tol=1e-15)
+    assert got.structure == ref.structure == DO_THINK_DO
+    for g, r in zip((got.tau1, got.tau2, got.tau3),
+                    (ref.tau1, ref.tau2, ref.tau3)):
+        assert abs(g - r) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # the final-stretch search against its definition
 # ---------------------------------------------------------------------------
@@ -426,7 +496,7 @@ def test_final_stretch_search_meets_its_definition(rng, monkeypatch):
                     pass  # stage three may fail; stages one and two ran
                 if not found:
                     continue  # DO_ONLY: the whole horizon is feasible
-                bar3 = found[0]
+                bar3 = found[0][0]  # stage one's bracket, feasible end
                 # stage one: the longest stretch feasible from the prior
                 assert _min_slack(p, model, bar3, p.p_bar) >= -1e-12
                 assert _min_slack(p, model, bar3 + 1e-6, p.p_bar) < 0.0
