@@ -247,10 +247,10 @@ def cmd_verify(args) -> int:
     intervals = extract_schedule(dp)
     report = {"kind": kind, "dt": dt,
               "oracle_intervals": [[a, b, lab] for a, b, lab in intervals]}
+    labels = [lab for _, _, lab in intervals]
 
     if kind == "no_feedback":
         # structural check only: thinking, once started, never stops early
-        labels = [lab for _, _, lab in intervals]
         ok = "DO" not in labels[labels.index("THINK") + 1:] \
             if "THINK" in labels else True
         report["check"] = "no return to doing after thinking"
@@ -259,8 +259,13 @@ def cmd_verify(args) -> int:
         sched = solve(cfg.params, model)
         o1, o2, o3 = interval_taus(intervals)
         tol = 5.0 * dt
-        ok = (abs(o1 - sched.tau1) <= tol and abs(o2 - sched.tau2) <= tol
-              and abs(o3 - sched.tau3) <= tol)
+        judged = (sched.tau1, sched.tau2, sched.tau3)
+        if 0.0 < sched.tau2 < dt and "THINK" not in labels:
+            # a thinking block shorter than one step does not show on the
+            # grid: judge the schedule as the doing-only one it rounds to
+            judged = (0.0, 0.0, cfg.params.T)
+            report["judged_as_do_only"] = list(judged)
+        ok = all(abs(o - s) <= tol for o, s in zip((o1, o2, o3), judged))
         report.update({
             "solver": [sched.tau1, sched.tau2, sched.tau3],
             "oracle": [o1, o2, o3], "tolerance": tol, "pass": bool(ok),

@@ -90,7 +90,8 @@ class DPSolution:
     """Tables and extracted switch structure of one oracle run.
 
     ``value_rows[k][m]`` is the optimal continuation value with k steps
-    remaining after m unrewarded doing steps (``None`` unless kept);
+    remaining after m unrewarded doing steps (``None`` unless kept; each
+    kept row is the array the recursion wrote it into, N - k + 1 long);
     ``policy_rows`` mirrors it with action indices into ``action_names``;
     ``tie_rows[j]`` is the bitmask of the actions within tolerance of the
     best at the j-th no-arrival path state (N - j, ``path_m[j]``).
@@ -129,14 +130,13 @@ def _check_grid(grid: Grid, keep_values: bool) -> None:
     if grid.dt > 0.01:
         raise CoarseGridError(
             f"grid too coarse: dt={grid.dt} exceeds the 0.01 cap")
-    N = grid.n_steps
-    S = _checkpoint_stride(N)
+    N, S = grid.n_steps, _checkpoint_stride(grid.n_steps)
     n_checkpoints = -(-N // S)  # rows k = 0, S, 2S, ... below N
-    need = (N * (N + 1) // 2 + N  # policy rows and path ties, 1 byte each
-            + 8 * (n_checkpoints * (N + 1)
-                   - S * n_checkpoints * (n_checkpoints - 1) // 2))
-    if keep_values:
-        need += 8 * ((N + 1) * (N + 2) // 2)
+    # 1 byte a policy cell and a path tie mask, 8 a kept value cell; the gap
+    # pass reads its checkpoints off kept rows, or keeps copies of its own
+    need = N * (N + 1) // 2 + N + 8 * (
+        (N + 1) * (N + 2) // 2 if keep_values else n_checkpoints * (N + 1)
+        - S * n_checkpoints * (n_checkpoints - 1) // 2)
     if need > _BYTE_BUDGET:
         fix = ("pass keep_values=False (1 byte a cell instead of 9)"
                if keep_values else "use fewer steps")
@@ -149,40 +149,37 @@ def _check_grid(grid: Grid, keep_values: bool) -> None:
 # shared backward recursion over the (k, m) triangle
 # ---------------------------------------------------------------------------
 
-def _action_values(W: np.ndarray, coef: tuple, actions: tuple,
-                   q_do: np.ndarray, q_th: np.ndarray) -> list:
-    """The one Q builder: Q of every action, in ``actions`` order, on the
-    cells that the buffers ``q_do`` and ``q_th`` cover, from the previous
-    value row W (or a stack of row windows, one per row of a 2-D W).
-
-    ``coef = (a_do, b_do, a_th, b_th)`` makes each pure Q affine in the
-    next state's value: DO moves to m + 1 (``b_do * W[m+1] + a_do``), THINK
-    and IDLE stay at m, and an interior mix randomizes between DO and
-    THINK.  DO and THINK lead every canonical action set."""
+def _row_step(w_th: np.ndarray, w_do: np.ndarray, coef: tuple, extras: tuple,
+              q: np.ndarray, row: np.ndarray,
+              policy: bool = False) -> Optional[np.ndarray]:
+    """One row of the backward recursion, the step both passes share.  From
+    the previous value row read at m (``w_th``) and m + 1 (``w_do``), a row
+    or a stack of windows, ``q[i]`` gets Q of the i-th action (the last
+    slot is scratch) and ``row`` their maximum; with ``policy``, it returns
+    the first action that attains it (``argmax``'s rule) as int8.  ``coef =
+    (a_do, b_do, a_th, b_th)`` makes DO's Q affine in the value at m + 1
+    and THINK's in the value at m; after them come the ``extras``, (index,
+    mix) pairs: IDLE (mix None) keeps the value at m, a mix randomizes."""
     a_do, b_do, a_th, b_th = coef
-    n = q_do.shape[-1]
-    np.multiply(b_do, W[..., 1:n + 1], out=q_do)
+    q_do, q_th = q[0], q[1]
+    np.multiply(b_do, w_do, out=q_do)
     np.add(q_do, a_do, out=q_do)
-    np.multiply(b_th, W[..., :n], out=q_th)
+    np.multiply(b_th, w_th, out=q_th)
     np.add(q_th, a_th, out=q_th)
-    pure = {ACTION_DO: q_do, ACTION_THINK: q_th, ACTION_IDLE: W[..., :n]}
-    return [pure[a] if isinstance(a, str) else a * q_do + (1.0 - a) * q_th
-            for a in actions]
-
-
-def _best_action(qs: list, row: np.ndarray,
-                 best: Optional[np.ndarray] = None) -> None:
-    """The one action reduction: ``row`` gets the elementwise maximum of
-    the Q arrays and ``best``, when given, the first action, in list
-    order, that attains it (``argmax``'s rule): an action takes over only
-    where it is strictly above the running maximum."""
-    np.maximum(qs[0], qs[1], out=row)
-    if best is not None:
-        np.less(qs[0], qs[1], out=best.view(bool))
-    for i, q in enumerate(qs[2:], 2):
-        if best is not None:
-            np.copyto(best, i, where=row < q)
-        np.maximum(row, q, out=row)
+    np.maximum(q_do, q_th, out=row)
+    best = np.less(q_do, q_th).view(np.int8) if policy else None
+    for i, mix in extras:
+        qi = q[i]
+        if mix is None:
+            np.copyto(qi, w_th)
+        else:
+            np.multiply(mix, q_do, out=qi)
+            np.multiply(1.0 - mix, q_th, out=q[-1])
+            np.add(qi, q[-1], out=qi)
+        if policy:
+            np.copyto(best, i, where=row < qi)
+        np.maximum(row, qi, out=row)
+    return best
 
 
 def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
@@ -215,7 +212,7 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
     return path_actions, path_m
 
 
-def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
+def _gaps_along_path(N: int, extras: tuple, path_m: np.ndarray, coef,
                      checkpoints: list, S: int) -> tuple:
     """Q_think - Q_do and the tie mask (the bits of the actions within
     ``_TIE_TOL`` of the best) at every path state, rebuilt from the value
@@ -241,54 +238,54 @@ def _gaps_along_path(N: int, actions: tuple, path_m: np.ndarray, coef,
     for s, row in enumerate(checkpoints):
         part = row[lo[s]:lo[s] + w]
         V[s, :part.size] = part
-    nxt, q_do, q_th = np.empty_like(V), np.empty_like(V), np.empty_like(V)
+    nxt, segments = np.empty_like(V), np.arange(c.size)
     m = lo[:, None] + np.arange(w)
-    segments = np.arange(c.size)
-    for t in range(1, S + 1):
-        n = w - t
-        k = np.minimum(c[:, None] + t, N)
-        qs = _action_values(V, coef(k, np.minimum(m[:, :n], N - k)), actions,
-                            q_do[:, :n], q_th[:, :n])
-        _best_action(qs, nxt[:, :n])
-        live = c + t <= N  # the last segment may be partial
-        j = N - t - c[live]
-        at = segments[live], path_m[j] - lo[live]
-        gaps[j] = qs[1][at] - qs[0][at]
-        floor = nxt[at] - _TIE_TOL
-        for b, q in enumerate(qs):
-            ties[j] |= (q[at] >= floor).astype(np.uint8) << b
+    # step t (from 0) rebuilds row c + t + 1 of each segment (k clipped to
+    # N: the last segment may be partial), with path state j = N - c - t - 1
+    steps = np.arange(1, S + 1)[:, None]
+    k, j = np.minimum(c + steps, N)[:, :, None], N - c - steps
+    live = j >= 0
+    at = np.where(live, path_m[np.maximum(j, 0)] - lo, 0)
+    n_actions = 2 + len(extras)
+    q = np.empty((n_actions + 1, c.size, w))
+    q_at = np.empty((n_actions, S, c.size))
+    for t in range(S):
+        n = w - t - 1
+        _row_step(V[:, :n], V[:, 1:n + 1],
+                  coef(k[t], np.minimum(m[:, :n], N - k[t])), extras,
+                  q[:, :, :n], nxt[:, :n])
+        q_at[:, t] = q[:n_actions, segments, at[t]]
         V, nxt = nxt, V
+    # the row value is the largest Q, so the tie floor comes from q_at
+    j, q_at = j[live], q_at[:, live]
+    gaps[j] = q_at[1] - q_at[0]
+    bits = np.arange(n_actions, dtype=np.uint8)[:, None]
+    ties[j] = np.bitwise_or.reduce(
+        (q_at >= q_at.max(axis=0) - _TIE_TOL) << bits, axis=0)
     return gaps, ties
 
 
 def _intervals_from_path(grid: Grid, actions: tuple, path_actions: np.ndarray,
-                         path_gaps: Optional[np.ndarray]) -> tuple:
+                         path_gaps: np.ndarray) -> tuple:
     """Merge the path into (start, end, action) intervals; boundaries
     between the two pure actions are refined by interpolating the
     preference gap, which is accurate below one step."""
-    N = grid.n_steps
-    dt = grid.dt
+    N, dt = grid.n_steps, grid.dt
     if N == 0:
         return ()
-    pure = {actions.index(ACTION_DO), actions.index(ACTION_THINK)}
-    bounds = [0.0]
-    labels = [actions[path_actions[0]]]
-    for j in range(1, N):
-        if path_actions[j] == path_actions[j - 1]:
-            continue
-        raw = j * dt
-        t_switch = raw
-        if (path_gaps is not None and {int(path_actions[j]),
-                                       int(path_actions[j - 1])} <= pure):
-            g0, g1 = path_gaps[j - 1], path_gaps[j]
-            if g0 != g1 and np.isfinite(g0) and np.isfinite(g1):
-                t_star = (j - 1) * dt + dt * g0 / (g0 - g1)
-                t_switch = min(max(t_star, raw - dt), raw + dt)
-        bounds.append(t_switch)
-        labels.append(actions[path_actions[j]])
-    bounds.append(N * dt)
-    return tuple((bounds[i], bounds[i + 1], labels[i])
-                 for i in range(len(labels)))
+    j = np.flatnonzero(np.diff(path_actions)) + 1
+    raw = j * dt
+    g0, g1 = path_gaps[j - 1], path_gaps[j]
+    # DO and THINK are actions 0 and 1; a switch between them is refined
+    refine = ((np.maximum(path_actions[j - 1], path_actions[j]) <= 1)
+              & (g0 != g1) & np.isfinite(g0) & np.isfinite(g1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_star = (j - 1) * dt + dt * g0 / (g0 - g1)
+    bounds = [0.0, *np.where(refine, np.minimum(np.maximum(t_star, raw - dt),
+                                                raw + dt), raw).tolist(),
+              N * dt]
+    labels = [actions[a] for a in path_actions[np.r_[0, j]].tolist()]
+    return tuple(zip(bounds[:-1], bounds[1:], labels))
 
 
 def extract_schedule(dp: DPSolution) -> tuple:
@@ -355,37 +352,38 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
     """Tables, no-arrival path and switch times of one oracle run, from
     the backward recursion over full rows.
 
-    ``coef(k, m)`` returns the affine coefficients of `_action_values` at
-    k steps remaining on the doing counts m (a slice here).  The value row
-    alternates between two buffers and is copied only to be kept.  The
-    policy is the first action, in ``action_set`` order, that attains the
-    row value.  The tie bits are needed only along the no-arrival path, so
-    the gap pass supplies them: walk, rebuild the path's gaps and ties,
-    and walk again until the path stops moving.  A walk is exact up to the
-    first state off the previous path, so each pass gains a state."""
-    N = grid.n_steps
-    actions = grid.action_set
+    ``coef(k, m)`` returns the affine coefficients of `_row_step` at k
+    steps remaining on the doing counts m (a slice here).  A kept run
+    writes each value row into its own array, checkpoints included; else
+    the row alternates between two buffers.  The policy is the first
+    action, in ``action_set`` order, that attains the row value.  The gap
+    pass supplies the tie bits along the no-arrival path: walk, rebuild
+    the path's gaps and ties, and walk again until the path stops moving.
+    A walk can first leave the last path only at a switch whose incumbent
+    is tied, so it is rerun only when one is; each rerun gains a state."""
+    N, actions = grid.n_steps, grid.action_set
+    extras = tuple((i, None if a == ACTION_IDLE else a)
+                   for i, a in enumerate(actions[2:], 2))
     S = _checkpoint_stride(N)
-    W, nxt = np.zeros(N + 1), np.empty(N + 1)  # k = 0: no time left, no value
-    checkpoints = [W.copy()]
-    value_rows = [checkpoints[0]] if keep_values else None
+    W, spare = np.zeros(N + 1), np.empty(N + 1)  # k = 0: no time left, no value
+    rows = [W if keep_values else W.copy()]  # the kept rows, or checkpoints
     policy_rows: list = [np.zeros(0, dtype=np.int8)]
-    q_do, q_th = np.empty(N), np.empty(N)
+    q = np.empty((len(actions) + 1, N))
     for k in range(1, N + 1):
         n = N - k + 1
-        qs = _action_values(W, coef(k, np.s_[:n]), actions, q_do[:n],
-                            q_th[:n])
-        best = np.empty(n, dtype=np.int8)
-        _best_action(qs, nxt[:n], best)
-        policy_rows.append(best)
-        if keep_values:
-            value_rows.append(nxt[:n].copy())
-        if k % S == 0 and k < N:
-            checkpoints.append(nxt[:n].copy())
-        W, nxt = nxt, W
+        row = np.empty(n) if keep_values else spare[:n]
+        policy_rows.append(_row_step(W[:n], W[1:n + 1], coef(k, slice(n)),
+                                     extras, q[:, :n], row, True))
+        if keep_values or k % S == 0 and k < N:
+            rows.append(row if keep_values else row.copy())
+        W, spare = row, W
+    checkpoints = rows[:N:S] if keep_values else rows
     path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows)
     while True:
-        gaps, ties = _gaps_along_path(N, actions, path_m, coef, checkpoints, S)
+        gaps, ties = _gaps_along_path(N, extras, path_m, coef, checkpoints, S)
+        j = np.flatnonzero(np.diff(path_actions)) + 1
+        if not np.any(ties[j] >> path_actions[j - 1] & 1):
+            break
         path_actions, walked = _walk_no_arrival_path(N, actions, policy_rows,
                                                      path_m, ties)
         if np.array_equal(walked, path_m):
@@ -396,7 +394,7 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
         policy_rows=policy_rows, tie_rows=ties, path_actions=path_actions,
         path_m=path_m, path_gaps=gaps,
         switch_times=_intervals_from_path(grid, actions, path_actions, gaps),
-        value_rows=value_rows)
+        value_rows=rows if keep_values else None)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +404,7 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
 def _step_values(agent, grid: Grid, chance, pay, at):
     """Affine Q coefficients of the triangle recursion for an agent with
     ``p_bar``, ``lam``, ``c`` and ``B``, as the function ``coef(k, m)`` that
-    `_action_values` reads.  A doing arrival pays ``B`` with the
+    `_row_step` reads.  A doing arrival pays ``B`` with the
     posterior-weighted probability.  A thinking arrival at state (k, m)
     happens with probability ``chance[at(k, m)]`` and pays
     ``pay[at(k, m)]``; one of the two may be a scalar.  The vectors are
@@ -515,10 +513,10 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     # chance that step j + 1 delivers given that the first j did not
     surv = 1.0 - no_solution_prob(nf, grid.dt * np.arange(N + 2))
     arrive = 1.0 - surv[1:] / surv[:-1]
-    # at (k, m) the agent has thought for N - k - m steps; m arrives as a
-    # slice (a full row, m = 0..N-k, read as a reversed view) or as an
-    # index array (a gap-pass window, gathered)
+    # at (k, m) the agent has thought for N - k - m steps, entry k + m of
+    # the chances stored back to front; m arrives as a slice (a full row,
+    # a forward view) or as an index array (a gap-pass window, gathered)
     return _assemble(grid, _step_values(
-        nf, grid, arrive, nf.B,
-        lambda k, m: (slice(N - k, None, -1) if isinstance(m, slice)
-                      else N - k - m)), keep_values)
+        nf, grid, arrive[::-1], nf.B,
+        lambda k, m: (slice(k, k + m.stop) if isinstance(m, slice)
+                      else k + m)), keep_values)

@@ -262,6 +262,29 @@ def test_verify_do_only_config_passes(config_path, tmp_path):
     assert report["pass"] is True
     assert report["solver"] == [0.0, 0.0, 0.5]
     assert report["oracle"] == pytest.approx([0.0, 0.0, 0.5], abs=1e-12)
+    assert "judged_as_do_only" not in report
+
+
+def test_verify_sub_step_thinking_block_passes(tmp_path):
+    # solve thinks for 0.6 ms between two doing blocks; the dt=1e-3 oracle
+    # cannot show a block that short and is doing-only, so the schedule is
+    # judged as the doing-only one it rounds to, and the report says so
+    path = tmp_path / "sub_step.json"
+    path.write_text(json.dumps({
+        "agent": {"p_bar": 0.7584966497556718, "lambda": 0.4361507759115387,
+                  "mu": 1.1306671814104254, "c": 0.29304819942913957,
+                  "B": 5.635858211058256, "T": 4.0},
+        "model": {"family": "SafeArm", "nu": 0.5051199064096894,
+                  "B_nu": 3.7100550779679984, "c_nu": 0.3077368263911496}}))
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path),
+               "--dt", "1e-3"])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["pass"] is True
+    assert 0.0 < report["solver"][1] < 1e-3
+    assert report["oracle"] == [0.0, 0.0, 4.0]
+    assert report["tolerance"] == pytest.approx(5e-3)
+    assert report["judged_as_do_only"] == [0.0, 0.0, 4.0]
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 1.9, 4.0])

@@ -5,6 +5,7 @@ the unobserved-progress variant."""
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from dblab import (
 )
 from dblab import dp as dp_module
 from dblab.dp import (ACTION_DO, ACTION_IDLE, ACTION_THINK, _assemble,
-                      _check_grid)
+                      _check_grid, _intervals_from_path)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "dp"
 
@@ -65,11 +66,12 @@ def test_run_guards(base_params, safe_arm):
     with pytest.raises(CoarseGridError):
         dp_reduced(base_params, safe_arm, Grid(0.02, 90))
     # the byte budget refuses before allocating: 1 byte a policy cell and a
-    # path tie mask (220531500), 8 a kept value cell (1764252008) and 8 a
-    # checkpoint cell of the gap pass (12335248) exceed 1 GiB; without the
-    # values they fit, up to about N = 45,500
+    # path tie mask (220531500) and 8 a kept value cell (1764252008) exceed
+    # 1 GiB (the gap pass reads its checkpoints off the kept rows); without
+    # the values, 8 bytes a checkpoint cell take their place, and they fit
+    # up to about N = 45,500
     with pytest.raises(ValueError, match=r"n_steps=21000 would keep "
-                       r"1997118756 bytes .*keep_values=False"):
+                       r"1984783508 bytes .*keep_values=False"):
         dp_reduced(base_params, safe_arm, Grid(1e-4, 21_000))
     _check_grid(Grid(1e-4, 21_000), keep_values=False)
     _check_grid(Grid(1e-4, 40_000), keep_values=False)
@@ -470,6 +472,73 @@ def test_second_gap_pass_matches_full_table_walk(monkeypatch):
     assert passes == 2
 
 
+def test_one_walk_when_no_switch_is_tied(monkeypatch):
+    # the README anchor's path has no switch whose incumbent is tied, so
+    # the walk on the policy alone stands after one gap pass
+    walks, passes = [], []
+    walk, gap_pass = dp_module._walk_no_arrival_path, dp_module._gaps_along_path
+    monkeypatch.setattr(dp_module, "_walk_no_arrival_path",
+                        lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(dp_module, "_gaps_along_path",
+                        lambda *args: passes.append(args) or gap_pass(*args))
+    anchor = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=1.9)
+    dp = dp_reduced(anchor, SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5),
+                    Grid.from_horizon(1.9, 1e-3), keep_values=False)
+    assert (len(walks), len(passes)) == (1, 1)
+    assert [lab for *_, lab in dp.switch_times] == [ACTION_THINK, ACTION_DO]
+
+
+# ---------------------------------------------------------------------------
+# switch search and sub-step refinement
+# ---------------------------------------------------------------------------
+
+def _scalar_intervals(grid: Grid, actions: tuple, path_actions, path_gaps):
+    """Reference: the step-by-step merge of the path into intervals, with
+    switches between DO and THINK refined by the interpolated gap."""
+    N, dt = grid.n_steps, grid.dt
+    if N == 0:
+        return ()
+    pure = {actions.index(ACTION_DO), actions.index(ACTION_THINK)}
+    bounds, labels = [0.0], [actions[path_actions[0]]]
+    for j in range(1, N):
+        if path_actions[j] == path_actions[j - 1]:
+            continue
+        raw = t_switch = j * dt
+        if {int(path_actions[j]), int(path_actions[j - 1])} <= pure:
+            g0, g1 = path_gaps[j - 1], path_gaps[j]
+            if g0 != g1 and np.isfinite(g0) and np.isfinite(g1):
+                t_star = (j - 1) * dt + dt * g0 / (g0 - g1)
+                t_switch = min(max(t_star, raw - dt), raw + dt)
+        bounds.append(t_switch)
+        labels.append(actions[path_actions[j]])
+    bounds.append(N * dt)
+    return tuple((bounds[i], bounds[i + 1], labels[i])
+                 for i in range(len(labels)))
+
+
+@pytest.mark.parametrize("path, gaps", [
+    # DO -> THINK -> IDLE -> THINK -> DO -> THINK -> DO, with a gap of
+    # +inf at one DO/THINK switch, NaN at another and equal gaps at a third
+    ([0, 0, 1, 1, 2, 2, 1, 0, 0, 1, 1, 0, 0],
+     [-0.3, -0.1, 0.2, 0.4, 0.0, 0.1, 0.3, np.inf, -0.2, -0.2, 0.5, np.nan,
+      -1.0]),
+    # gaps of one sign: the interpolation lands more than a step off and is
+    # clipped to one step either side (the first three switches)
+    ([1, 0, 1, 0, 0, 1], [0.1, 0.5, 3.0, 2.0, -1e-12, 2e-12]),
+    ([0] * 6, [-1.0] * 6),
+    ([2], [0.0]),
+])
+def test_switch_search_matches_scalar_loop(path, gaps):
+    actions = (ACTION_DO, ACTION_THINK, ACTION_IDLE)
+    grid = Grid(0.1, len(path), actions)
+    path, gaps = np.array(path, dtype=np.int8), np.array(gaps)
+    got = _intervals_from_path(grid, actions, path, gaps)
+    assert got == _scalar_intervals(grid, actions, path, gaps)
+    assert all(type(t) is float for iv in got for t in iv[:2])
+    assert _intervals_from_path(Grid(0.1, 0, actions), actions, path[:0],
+                                gaps[:0]) == ()
+
+
 def _write_goldens() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, run in _golden_cases().items():
@@ -483,5 +552,9 @@ def _write_goldens() -> None:
 
 
 if __name__ == "__main__":
-    # regenerate the goldens: PYTHONPATH=src python tests/test_dp.py
+    # regenerate the goldens, on purpose only:
+    #     PYTHONPATH=src python tests/test_dp.py --write
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_dp.py --write  (rewrites the six "
+                 "DP goldens under tests/data/dp)")
     _write_goldens()
