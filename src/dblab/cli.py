@@ -120,19 +120,6 @@ class RunConfig:
     def build_model(self):
         return progress_model_from_dict(self.model_spec)
 
-    def to_dict(self) -> dict:
-        agent = {"p_bar": self.params.p_bar, "lambda": self.params.lam,
-                 "mu": self.params.mu, "c": self.params.c,
-                 "B": self.params.B, "T": self.params.T}
-        out = {"agent": agent, "model": dict(self.model_spec)}
-        for name in _BLOCK_KEYS:
-            block = getattr(self, name)
-            if block:
-                out[name] = dict(block)
-        return _normalize(out)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _block(data: dict, name: str) -> dict:

@@ -4,8 +4,8 @@ Independent cross-check for the schedule solver: backward recursion on a
 (remaining steps, doing steps used) triangle with exact per-step
 exponential arrival probabilities.  Variants cover the reduced model (a
 progress arrival pays the value-of-progress lump), the explicit two-stage
-model (a progress arrival switches to a second arm that is itself worked
-step by step), and the unobserved-progress model.
+model (a progress arrival opens a second arm, worked step by step; a risky
+one by the same row step), and the unobserved-progress model.
 
 Belief enters only through the count of unrewarded doing steps, so the
 state space is exact; no belief grid is involved.
@@ -446,38 +446,35 @@ def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
     return _lump_oracle(params, grid, lump, keep_values)
 
 
-def _stage2_entry_values(params: ModelParams, stage2: ProgressModel,
-                         grid: Grid) -> np.ndarray:
+def _stage2_entry_values(stage2: ProgressModel, grid: Grid) -> np.ndarray:
     """Value of entering the post-progress phase with k steps remaining,
-    working the second arm (or idling once it stops being worth it)."""
-    N = grid.n_steps
-    dt = grid.dt
-    if isinstance(stage2, SafeArm):
-        q2 = -math.expm1(-stage2.nu * dt)
-        pv = np.zeros(N + 1)
+    working the second arm or stopping (idling) once it is not worth it.
+    A sure arm's belief never moves, so one scalar per k; a risky arm's
+    recursion runs on the (k, pulls) triangle by `_row_step`, with
+    stopping as THINK's coefficients (0, 1): it keeps the value at m."""
+    if not isinstance(stage2, (SafeArm, RiskyArm)):
+        raise ValueError(
+            "second stage must be a known-rate or belief-tracked arm "
+            f"(SafeArm/RiskyArm), got {type(stage2).__name__}")
+    p2, nu, b2, c2, _ = stage2._arm
+    N, dt = grid.n_steps, grid.dt
+    q2 = -math.expm1(-nu * dt)
+    entry = np.zeros(N + 1)
+    if p2 == 1.0:
         for k in range(1, N + 1):
-            work = (-stage2.c_nu * dt + q2 * stage2.B_nu
-                    + (1.0 - q2) * pv[k - 1])
-            pv[k] = max(pv[k - 1], work)
-        return pv
-    if isinstance(stage2, RiskyArm):
-        q2 = -math.expm1(-stage2.nu * dt)
-        p2 = posterior(stage2.p_bar_nu, stage2.nu, dt * np.arange(N + 2))
-        s2 = p2[:N + 1] * q2
-        a2 = -stage2.c_nu * dt + s2 * stage2.B_nu
-        b2 = 1.0 - s2
-        rows = np.zeros(N + 2)
-        work = np.empty(N + 1)
-        entry = np.zeros(N + 1)
-        for k in range(1, N + 1):
-            np.multiply(b2, rows[1:], out=work)
-            np.add(work, a2, out=work)
-            np.maximum(rows[:N + 1], work, out=rows[:N + 1])
-            entry[k] = rows[0]
+            work = -c2 * dt + q2 * b2 + (1.0 - q2) * entry[k - 1]
+            entry[k] = max(entry[k - 1], work)
         return entry
-    raise ValueError(
-        "second stage must be a known-rate or belief-tracked arm "
-        f"(SafeArm/RiskyArm), got {type(stage2).__name__}")
+    s2 = posterior(p2, nu, dt * np.arange(N)) * q2
+    a_work, b_work = -c2 * dt + s2 * b2, 1.0 - s2
+    W, spare, q = np.zeros(N + 1), np.empty(N + 1), np.empty((2, N))
+    for k in range(1, N + 1):
+        n = N - k + 1
+        _row_step(W[:n], W[1:n + 1], (a_work[:n], b_work[:n], 0.0, 1.0), (),
+                  q[:, :n], spare[:n])
+        W, spare = spare[:n], W
+        entry[k] = W[0]
+    return entry
 
 
 def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
@@ -489,7 +486,7 @@ def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
     lump paid on progress is the second stage's own optimal value, averaged
     across the arrival step."""
     _check_grid(grid, keep_values)
-    entry = _stage2_entry_values(params, stage2, grid)
+    entry = _stage2_entry_values(stage2, grid)
     lump = 0.5 * (entry[:-1] + entry[1:])
     return _lump_oracle(params, grid, lump, keep_values)
 

@@ -4,8 +4,9 @@ value-of-progress family.
 The agent splits effort between a risky "doing" arm (arrival rate ``lam``
 when it works, which happens with prior probability ``p_bar``) and a safe
 "thinking" arm (arrival rate ``mu``) whose arrival yields progress worth
-``V(tau)`` when ``tau`` time remains.  Everything here is a pure function
-of immutable inputs.
+``V(tau)`` when ``tau`` time remains.  Three families of V (SafeArm,
+RiskyArm, PayoffStream) are one second arm, whose value formula is written
+once in ``_Arm``.  Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ class ModelParams:
         _require(self.c >= 0.0, f"c must be nonnegative, got {self.c}")
         _require(self.B > 0.0, f"B must be positive, got {self.B}")
         _require(self.T >= 0.0, f"T must be nonnegative, got {self.T}")
-        _require(math.isfinite(self.T), f"T must be finite, got {self.T}")
+        for name in ("lam", "mu", "c", "B", "T"):
+            value = getattr(self, name)
+            _require(math.isfinite(value), f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +184,40 @@ class ProgressModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class SafeArm(ProgressModel):
-    """Progress opens a known-rate conversion arm.
+class _Arm(ProgressModel):
+    """Progress opens a second arm that works with probability p, then
+    delivers B at rate nu against flow cost c, and is worked until ``stop``
+    (its belief's indifference point; infinite for a sure arm, p = 1).
+    Over a remaining window tau its value is
+    ``p*(1 - exp(-nu*tau))*(B - c/nu) - (1 - p)*c*tau`` up to ``stop`` and
+    flat after it.  A family gives ``_arm = (p, nu, B, c, stop)``."""
 
-    Working the arm costs ``c_nu`` per unit time and delivers ``B_nu`` at
-    rate ``nu``; its value over a remaining window tau is
-    ``(1 - exp(-nu*tau)) * (B_nu - c_nu/nu)``.
-    """
+    def value(self, tau, order: int = 0):
+        xp = _checked_ops(tau, order)
+        p, nu, b, cc, stop = self._arm
+        decay = xp.exp(-nu * tau)
+        if order == 0:
+            active = p * (1.0 - decay) * (b - cc / nu) - (1.0 - p) * cc * tau
+        elif order == 1:
+            active = p * decay * (nu * b - cc) - (1.0 - p) * cc
+        else:
+            active = -nu * p * decay * (nu * b - cc)
+        if stop == math.inf:
+            return active
+        return xp.where(tau <= stop, active,
+                        self.limit() if order == 0 else 0.0)
+
+    def limit(self) -> float:
+        # flat past a finite stop, continuous with the active branch there
+        p, nu, b, cc, stop = self._arm
+        drift = 0.0 if stop == math.inf else (1.0 - p) * cc * stop
+        return p * b - cc / nu - drift
+
+
+@dataclass(frozen=True)
+class SafeArm(_Arm):
+    """Progress opens a known-rate conversion arm (p = 1): working it costs
+    ``c_nu`` per unit time and delivers ``B_nu`` at rate ``nu``."""
 
     nu: float
     B_nu: float
@@ -202,21 +231,13 @@ class SafeArm(ProgressModel):
         _require(self.nu * self.B_nu > self.c_nu,
                  "conversion arm must be worth working: nu*B_nu > c_nu")
 
-    def value(self, tau, order: int = 0):
-        decay = _checked_ops(tau, order).exp(-self.nu * tau)
-        slope0 = self.nu * self.B_nu - self.c_nu
-        if order == 0:
-            return (1.0 - decay) * (self.B_nu - self.c_nu / self.nu)
-        if order == 1:
-            return decay * slope0
-        return -self.nu * decay * slope0
-
-    def limit(self) -> float:
-        return self.B_nu - self.c_nu / self.nu
+    @cached_property
+    def _arm(self) -> tuple:
+        return 1.0, self.nu, self.B_nu, self.c_nu, math.inf
 
 
 @dataclass(frozen=True)
-class RiskyArm(ProgressModel):
+class RiskyArm(_Arm):
     """Progress opens a second risky arm that works with probability
     ``p_bar_nu``.
 
@@ -241,36 +262,22 @@ class RiskyArm(ProgressModel):
                  "c_nu must be positive for a finite stopping time")
         _require(self.nu * self.B_nu > self.c_nu,
                  "arm must be worth starting: nu*B_nu > c_nu")
+        self._arm  # the stopping odds, checked and cached
+
+    @cached_property
+    def _arm(self) -> tuple:
         odds = self.p_bar_nu / (1.0 - self.p_bar_nu)
         arg = odds * (self.nu * self.B_nu - self.c_nu) / self.c_nu
         _require(arg > 1.0,
                  "no valid stopping time: the posterior starts at or below "
                  "the indifference belief c_nu/(nu*B_nu)")
+        return (self.p_bar_nu, self.nu, self.B_nu, self.c_nu,
+                math.log(arg) / self.nu)
 
-    @cached_property
+    @property
     def stop_time(self) -> float:
         """Pulling time after which the arm is abandoned."""
-        odds = self.p_bar_nu / (1.0 - self.p_bar_nu)
-        arg = odds * (self.nu * self.B_nu - self.c_nu) / self.c_nu
-        return math.log(arg) / self.nu
-
-    def value(self, tau, order: int = 0):
-        xp = _checked_ops(tau, order)
-        p, nu, b, cc = self.p_bar_nu, self.nu, self.B_nu, self.c_nu
-        decay = xp.exp(-nu * tau)
-        if order == 0:
-            active = p * (1.0 - decay) * (b - cc / nu) - (1.0 - p) * cc * tau
-            flat = self.limit()
-        elif order == 1:
-            active, flat = p * decay * (nu * b - cc) - (1.0 - p) * cc, 0.0
-        else:
-            active, flat = -nu * p * decay * (nu * b - cc), 0.0
-        return xp.where(tau <= self.stop_time, active, flat)
-
-    def limit(self) -> float:
-        # Flat-region value; continuous with the active branch at stop_time.
-        p, nu, b, cc = self.p_bar_nu, self.nu, self.B_nu, self.c_nu
-        return p * b - cc / nu - (1.0 - p) * cc * self.stop_time
+        return self._arm[4]
 
 
 @dataclass(frozen=True)
@@ -344,9 +351,10 @@ class TimeVarying(ProgressModel):
 
 
 @dataclass(frozen=True)
-class PayoffStream(ProgressModel):
+class PayoffStream(_Arm):
     """Progress triggers a mean-reverting payoff stream whose expected
-    level at the deadline is ``B_nu*(1 - exp(-nu*tau))``."""
+    level at the deadline is ``B_nu*(1 - exp(-nu*tau))``: a sure, costless
+    arm (p = 1, c = 0)."""
 
     nu: float
     B_nu: float
@@ -357,16 +365,9 @@ class PayoffStream(ProgressModel):
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
         _require(self.B_nu > 0.0, f"B_nu must be positive, got {self.B_nu}")
 
-    def value(self, tau, order: int = 0):
-        decay = _checked_ops(tau, order).exp(-self.nu * tau)
-        if order == 0:
-            return self.B_nu * (1.0 - decay)
-        if order == 1:
-            return self.nu * self.B_nu * decay
-        return -self.nu * self.nu * self.B_nu * decay
-
-    def limit(self) -> float:
-        return self.B_nu
+    @cached_property
+    def _arm(self) -> tuple:
+        return 1.0, self.nu, self.B_nu, 0.0, math.inf
 
 
 @dataclass(frozen=True)
@@ -450,6 +451,9 @@ def progress_model_from_dict(spec: dict) -> ProgressModel:
                 raise ModelValidationError(
                     f"Tabulated needs a list {key!r}, got {kwargs.get(key)!r}")
         kwargs = {"taus": tuple(kwargs["taus"]), "values": tuple(kwargs["values"])}
+    for key, val in kwargs.items():
+        if isinstance(val, bool):  # JSON true/false is not a number
+            raise ModelValidationError(f"{name}.{key} must be a number, got {val}")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -480,9 +484,6 @@ class ValidationReport:
     checks: tuple
     overall: bool
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def failure_names(self) -> list:
         return [c.name for c in self.checks if not c.passed and not c.advisory]
 
@@ -494,10 +495,10 @@ def _check_grid(params: ModelParams, model: ProgressModel) -> np.ndarray:
     hi = max(10.0 / params.lam, 10.0 / params.mu, 2.0 * params.T)
     if isinstance(model, Tabulated):
         hi = min(hi, model.taus[-1])
-    if isinstance(model, RiskyArm):
-        # The family's stated conditions hold while the second arm is still
-        # worth pulling; beyond its stopping time the value is flat by design.
-        hi = min(hi, model.stop_time)
+    if isinstance(model, _Arm):
+        # the stated conditions hold while the arm is worth working; past
+        # its stop the value is flat by design
+        hi = min(hi, model._arm[4])
     return np.geomspace(hi * 1e-6, hi, _CHECK_POINTS)
 
 

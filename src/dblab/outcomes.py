@@ -126,22 +126,22 @@ def backload(schedule) -> tuple:
     return 0.0, tau1 + tau2, tau1 + tau3
 
 
-def trajectory_probabilities(schedule, params: ModelParams, nu: float,
-                             n_points: int = 401) -> dict:
+_TRAJECTORY_POINTS = 401  # samples of the occupancy curves
+
+
+def trajectory_probabilities(schedule, params: ModelParams, nu: float) -> dict:
     """Occupancy curves over calendar time.
 
-    Returns arrays over ``t`` in [0, total span]: probability that
+    Returns arrays over ``t``, 401 points on [0, total span]: probability that
     progress has been made (solution via conversion may follow or already
     have happened), that a solution arrived straight from doing, and that
     neither has happened.  The three doing/progress states partition the
     sample space, so the curves sum to one.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
     tau1, tau2, tau3 = _as_taus(schedule)
     p_bar, lam, mu = params.p_bar, params.lam, params.mu
     span = tau1 + tau2 + tau3
-    t = np.linspace(0.0, span, n_points)
+    t = np.linspace(0.0, span, _TRAJECTORY_POINTS)
     pref = p_bar * math.exp(-lam * tau1) + 1.0 - p_bar
 
     think_time = np.clip(t - tau1, 0.0, tau2)

@@ -18,11 +18,9 @@ import numpy as np
 from . import _roots
 from .model import (
     ModelParams,
-    PayoffStream,
     ProgressModel,
-    RiskyArm,
-    SafeArm,
     Tabulated,
+    _Arm,
     _as_taus,
     _checked_ops,
     _growth_ratio,
@@ -162,35 +160,23 @@ def preference_slope(params: ModelParams, model: ProgressModel, s: float,
             + (mu - lam * p) * c)
 
 
-def _exp_affine(model: ProgressModel):
-    """``(L, nu, kappa, stop)`` for a family whose V is
-    ``L*(1 - exp(-nu*t)) - kappa*t`` up to ``stop`` and flat after it, or
-    None for the other families."""
-    if isinstance(model, (SafeArm, PayoffStream)):
-        return model.limit(), model.nu, 0.0, INFINITE
-    if isinstance(model, RiskyArm):
-        p, nu = model.p_bar_nu, model.nu
-        return (p * (model.B_nu - model.c_nu / nu), nu,
-                (1.0 - p) * model.c_nu, model.stop_time)
-    return None
-
-
 def preference_integral(params: ModelParams, model: ProgressModel, tau: float,
                         p: float, xi: float) -> float:
     """Survival-weighted accumulation of the preference slope,
     ``integral of exp(mu*s) * slope(s) over s in [0, tau]``, anchored at
     indifference (value 0 at tau = 0).
 
-    Exponential-affine families (SafeArm, PayoffStream, RiskyArm) evaluate
-    in closed form, piece by piece either side of the stop time; the
+    An arm family (SafeArm, PayoffStream, RiskyArm), whose V is
+    ``scale*(1 - exp(-nu*t)) - kappa*t`` up to its stop and flat after it,
+    evaluates in closed form, piece by piece either side of the stop; the
     generic route is adaptive quadrature with absolute tolerance 1e-10.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     mu, lam, B, c = params.mu, params.lam, params.B, params.c
-    affine = _exp_affine(model)
-    if affine is not None:
-        scale, nu, kappa, stop = affine
+    if isinstance(model, _Arm):
+        p_arm, nu, b_arm, c_arm, stop = model._arm
+        scale, kappa = p_arm * (b_arm - c_arm / nu), (1.0 - p_arm) * c_arm
         # past the stop time V is flat at limit(): a constant slope
         flat = p * mu * lam * (model.limit() - B) + (mu - lam * p) * c
         if xi >= stop:

@@ -115,6 +115,9 @@ def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
     slope = lambda s: _decayed_log_odds(params, model, s, 1)
     grid = np.linspace(0.0, params.T, _GRID)
     hs = h(grid)
+    if np.isnan(hs).any():
+        raise ModelValidationError("the boundary belief is NaN on [0, T]: "
+                                   "the agent's values overflow")
     running = np.maximum.accumulate(hs)
     records = np.flatnonzero(hs == running)
     tops = records[(records > 1) & (records < _GRID - 1)]

@@ -109,6 +109,11 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
     ("solver_key", "solver.n_grid", {**BASE_CONFIG,
                                      "solver": {"n_grid": 2048}}),
     ("sim_key", "sim.sead", {**BASE_CONFIG, "sim": {"sead": 7}}),
+    # json writes inf as Infinity, which json also reads
+    ("agent_inf", "B must be finite", {**BASE_CONFIG, "agent": {
+        **BASE_CONFIG["agent"], "B": math.inf}}),
+    ("model_bool", "SafeArm.nu", {**BASE_CONFIG, "model": {
+        **BASE_CONFIG["model"], "nu": True}}),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
                                                  config):
@@ -370,12 +375,10 @@ def test_trajectory_csv_contract(config_path, tmp_path):
 def test_runconfig_roundtrip(config_path):
     cfg = RunConfig.from_file(config_path(solver={"tau_tol": 1e-9},
                                           sim={"reps": 1000, "seed": 4}))
-    once = cfg.to_json()
-    assert RunConfig.from_json(once).to_json() == once
-    data = json.loads(once)
-    assert data["agent"]["lambda"] == 0.75
-    assert data["model"]["family"] == "SafeArm"
-    assert data["sim"] == {"reps": 1000, "seed": 4}
+    assert cfg.params.lam == 0.75
+    assert cfg.model_spec["family"] == "SafeArm"
+    assert cfg.sim == {"reps": 1000, "seed": 4}
+    assert cfg.solver == {"tau_tol": 1e-9} and cfg.oracle == {}
     with pytest.raises(ValueError):
         RunConfig.from_dict({"agent": BASE_CONFIG["agent"]})
 
@@ -387,3 +390,19 @@ def test_parse_grid():
         _parse_grid("0:1")
     with pytest.raises(ValueError):
         _parse_grid("0:1:-0.5")
+
+
+def _write_goldens() -> None:
+    for name in ("anchor", "risky"):
+        for sub, *extra in GOLDEN_ARGS.values():
+            assert main([sub, "--config", str(DATA / name / "config.json"),
+                         "--out", str(DATA / name)] + extra) == 0, (name, sub)
+
+
+if __name__ == "__main__":
+    # regenerate the CLI goldens from GOLDEN_ARGS, on purpose only:
+    #     PYTHONPATH=src python tests/test_cli.py --write
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_cli.py --write  (rewrites the eight "
+                 "CLI artifacts under tests/data/anchor and tests/data/risky)")
+    _write_goldens()

@@ -206,6 +206,36 @@ def test_two_stage_risky_arm(params_at):
         assert abs(b_r - b_s) <= 1e-2
 
 
+def _full_row_entry_values(arm, grid):
+    """A RiskyArm's stage-two entry values by the recursion over full rows
+    of pull counts, as written before it shared the row step."""
+    N, dt = grid.n_steps, grid.dt
+    q2 = -math.expm1(-arm.nu * dt)
+    p2 = dp_module.posterior(arm.p_bar_nu, arm.nu, dt * np.arange(N + 2))
+    s2 = p2[:N + 1] * q2
+    a2 = -arm.c_nu * dt + s2 * arm.B_nu
+    b2 = 1.0 - s2
+    rows, work, entry = np.zeros(N + 2), np.empty(N + 1), np.zeros(N + 1)
+    stopped = 0
+    for k in range(1, N + 1):
+        np.multiply(b2, rows[1:], out=work)
+        np.add(work, a2, out=work)
+        stopped += np.count_nonzero(rows[:N - k + 1] > work[:N - k + 1])
+        np.maximum(rows[:N + 1], work, out=rows[:N + 1])
+        entry[k] = rows[0]
+    return entry, stopped
+
+
+@pytest.mark.parametrize("T, dt", [(4.0, 2e-3), (6.0, 1e-3)])
+def test_stage2_entry_values_match_full_rows(T, dt):
+    arm = RiskyArm(p_bar_nu=0.3, nu=2.0, B_nu=3.0, c_nu=0.2)
+    assert arm.stop_time < 1.3  # inside the horizon: stopping is taken
+    grid = Grid.from_horizon(T, dt)
+    want, stopped = _full_row_entry_values(arm, grid)
+    assert stopped > 0
+    assert np.array_equal(dp_module._stage2_entry_values(arm, grid), want)
+
+
 def test_two_stage_rejects_general_stage2(base_params):
     from dblab import PayoffStream
     with pytest.raises(ValueError):

@@ -70,7 +70,9 @@ def test_params_validation():
     good = dict(p_bar=0.5, lam=1.0, mu=1.0, c=0.1, B=2.0, T=1.0)
     ModelParams(**good)
     for key, bad in [("p_bar", 0.0), ("p_bar", 1.0), ("lam", 0.0),
-                     ("mu", -1.0), ("c", -0.1), ("B", 0.0), ("T", -0.5)]:
+                     ("mu", -1.0), ("c", -0.1), ("B", 0.0), ("T", -0.5),
+                     ("lam", math.inf), ("mu", math.inf), ("c", math.inf),
+                     ("B", math.inf), ("T", math.inf), ("B", math.nan)]:
         with pytest.raises(ModelValidationError):
             ModelParams(**{**good, key: bad})
 
@@ -151,6 +153,61 @@ def test_risky_arm_marginal_value_vanishes_at_stop():
     # the active-branch slope hits zero exactly at the stopping time
     slope = arm.value(arm.stop_time - 1e-12, 1)
     assert slope == pytest.approx(0.0, abs=1e-9)
+
+
+def _per_family_value(model, tau, order):
+    """V, V' or V'' as each arm family wrote it before the three shared
+    one formula; ``tau`` is a float or an array."""
+    xp = np if isinstance(tau, np.ndarray) else math
+    decay = xp.exp(-model.nu * tau)
+    if isinstance(model, PayoffStream):
+        nu, b = model.nu, model.B_nu
+        return (b * (1.0 - decay), nu * b * decay, -nu * nu * b * decay)[order]
+    if isinstance(model, SafeArm):
+        nu, b, c = model.nu, model.B_nu, model.c_nu
+        slope0 = nu * b - c
+        return ((1.0 - decay) * (b - c / nu), decay * slope0,
+                -nu * decay * slope0)[order]
+    p, nu, b, c = model.p_bar_nu, model.nu, model.B_nu, model.c_nu
+    stop = math.log(p / (1.0 - p) * (nu * b - c) / c) / nu
+    active = (p * (1.0 - decay) * (b - c / nu) - (1.0 - p) * c * tau,
+              p * decay * (nu * b - c) - (1.0 - p) * c,
+              -nu * p * decay * (nu * b - c))[order]
+    flat = p * b - c / nu - (1.0 - p) * c * stop if order == 0 else 0.0
+    if xp is np:
+        return np.where(tau <= stop, active, flat)
+    return active if tau <= stop else flat
+
+
+ARMS = [SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5), SafeArm(nu=0.7, B_nu=3.0),
+        SafeArm(nu=0.4, B_nu=9.0, c_nu=3.1),
+        RiskyArm(p_bar_nu=0.7, nu=1.1, B_nu=4.0, c_nu=0.4),
+        RiskyArm(p_bar_nu=0.3, nu=2.0, B_nu=3.0, c_nu=0.2),
+        RiskyArm(p_bar_nu=0.9, nu=0.5, B_nu=7.0, c_nu=1.0),
+        PayoffStream(nu=1.3, B_nu=4.0), PayoffStream(nu=0.37, B_nu=2.2)]
+
+
+@pytest.mark.parametrize("model", ARMS, ids=repr)
+def test_arm_value_matches_per_family_formulas_bit_for_bit(model):
+    # the grid runs past every RiskyArm's stop (at most ~6.2 here)
+    grid = np.linspace(0.0, 12.0, 1001)
+    scalars = [0.0, 0.37, 1.9, 12.0]
+    orders = (0, 1) if isinstance(model, PayoffStream) else (0, 1, 2)
+    for order in orders:
+        assert np.array_equal(model.value(grid, order),
+                              _per_family_value(model, grid, order))
+        for tau in scalars:
+            got = model.value(tau, order)
+            assert type(got) is float
+            assert got.hex() == _per_family_value(model, tau, order).hex()
+    if isinstance(model, PayoffStream):
+        # V'' is reassociated, (-nu*e)*(nu*B) for (-nu*nu*B)*e
+        np.testing.assert_allclose(model.value(grid, 2),
+                                   _per_family_value(model, grid, 2),
+                                   rtol=1e-15, atol=0.0)
+        for tau in scalars:
+            assert model.value(tau, 2) == pytest.approx(
+                _per_family_value(model, tau, 2), rel=1e-15, abs=0.0)
 
 
 def test_risky_arm_rejects_hopeless_start():
@@ -258,6 +315,9 @@ def test_model_from_dict_roundtrip():
     with pytest.raises(ModelValidationError):
         progress_model_from_dict({"family": "SafeArm", "nu": 1.0,
                                   "B_nu": 5.0, "bogus": 3.0})
+    with pytest.raises(ModelValidationError, match="SafeArm.nu"):
+        progress_model_from_dict({"family": "SafeArm", "nu": True,
+                                  "B_nu": 5.0})
 
 
 _REF_ARM = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)

@@ -167,6 +167,7 @@ def test_backloading_never_hurts(base_params, rng):
 def test_trajectory_curves(base_params):
     traj = trajectory_probabilities(SCHED, base_params, NU)
     t = traj["t"]
+    assert len(t) == 401
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.9, rel=1e-12)
     assert traj["p_progress"][0] == 0.0
     assert traj["p_solution"][0] == 0.0
@@ -177,8 +178,6 @@ def test_trajectory_curves(base_params):
     assert np.all(np.diff(traj["p_neither"]) <= 1e-15)
     total = traj["p_progress"] + traj["p_solution"] + traj["p_neither"]
     np.testing.assert_allclose(total, 1.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        trajectory_probabilities(SCHED, base_params, NU, n_points=1)
 
 
 def test_trajectory_reconciles_with_routes(base_params):

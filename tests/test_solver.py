@@ -127,6 +127,16 @@ def test_solve_accepts_numpy_scalar_params(base_params, safe_arm):
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_solve_rejects_an_overflowing_agent(base_params, safe_arm):
+    # a finite B so large that mu*B overflows: the boundary belief is NaN
+    # on the whole grid, which must be an invalid model, not an IndexError
+    params = dataclasses.replace(base_params, B=1e308, mu=10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert validate_model(params, safe_arm).overall
+        with pytest.raises(ModelValidationError, match="overflow"):
+            solve(params, safe_arm)
+
+
 def test_schedule_fields_are_plain_floats(base_params, safe_arm):
     # the horizon-map root search starts from numpy grid points here, and an
     # integer T would pass straight through DO_ONLY; both report floats
