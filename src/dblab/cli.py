@@ -110,12 +110,8 @@ class RunConfig:
         return cls(params=params, model_spec=model_spec, **blocks)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def build_model(self):
         return progress_model_from_dict(self.model_spec)
@@ -243,7 +239,7 @@ def cmd_verify(args) -> int:
         report["check"] = "no return to doing after thinking"
         report["pass"] = bool(ok)
     else:
-        sched = solve(cfg.params, model)
+        sched = solve(cfg.params, model, **cfg.solver)
         o1, o2, o3 = interval_taus(intervals)
         tol = 5.0 * dt
         judged = (sched.tau1, sched.tau2, sched.tau3)

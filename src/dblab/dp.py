@@ -477,24 +477,24 @@ def _stage2_entry_values(stage2: ProgressModel, grid: Grid) -> np.ndarray:
     return entry
 
 
-def dp_two_stage(params: ModelParams, stage2: ProgressModel, grid: Grid, *,
-                 keep_values: bool = False) -> DPSolution:
+def dp_two_stage(params: ModelParams, stage2: ProgressModel,
+                 grid: Grid) -> DPSolution:
     """Two-stage oracle: a thinking arrival moves the agent to an explicit
     second arm which is then worked until it pays off or time runs out.
 
     The pre-progress tables have the same shape as the reduced oracle; the
     lump paid on progress is the second stage's own optimal value, averaged
     across the arrival step."""
-    _check_grid(grid, keep_values)
+    _check_grid(grid, False)
     entry = _stage2_entry_values(stage2, grid)
     lump = 0.5 * (entry[:-1] + entry[1:])
-    return _lump_oracle(params, grid, lump, keep_values)
+    return _lump_oracle(params, grid, lump, False)
 
 
-def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
-                   *, dt: float = 2e-3, keep_values: bool = False
-                   ) -> DPSolution:
-    """Unobserved-progress oracle.
+def dp_no_feedback(nf: NoFeedbackModel, T: float,
+                   grid: Optional[Grid] = None) -> DPSolution:
+    """Unobserved-progress oracle over the horizon ``T``, on ``grid`` or by
+    default in steps of 2e-3; a grid must span T.
 
     A thinking step pays off when the two-stage pipeline delivers a
     solution during the step, conditional on not having delivered one over
@@ -503,8 +503,11 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     of the underlying race, not from any reduced-form preference object.
     """
     if grid is None:
-        grid = Grid.from_horizon(T, dt)
-    _check_grid(grid, keep_values)
+        grid = Grid.from_horizon(T, 2e-3)
+    elif grid.n_steps != Grid.from_horizon(T, grid.dt).n_steps:
+        raise ValueError(f"grid of {grid.n_steps} steps of {grid.dt} does "
+                         f"not span the horizon T = {T}")
+    _check_grid(grid, False)
     N = grid.n_steps
     # survival of the thinking pipeline after j thinking steps, and the
     # chance that step j + 1 delivers given that the first j did not
@@ -516,4 +519,4 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float, grid: Optional[Grid] = None,
     return _assemble(grid, _step_values(
         nf, grid, arrive[::-1], nf.B,
         lambda k, m: (slice(k, k + m.stop) if isinstance(m, slice)
-                      else k + m)), keep_values)
+                      else k + m)), False)

@@ -175,7 +175,10 @@ class ProgressModel:
     scalar (and returns a float) or an array (and returns an array).
     """
 
-    family: str = "abstract"
+    @property
+    def family(self) -> str:
+        """The class name, which is the ``family`` key of a model spec."""
+        return type(self).__name__
 
     def value(self, tau, order: int = 0):
         raise NotImplementedError
@@ -223,8 +226,6 @@ class SafeArm(_Arm):
     B_nu: float
     c_nu: float = 0.0
 
-    family = "SafeArm"
-
     def __post_init__(self) -> None:
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
         _require(self.c_nu >= 0.0, f"c_nu must be nonnegative, got {self.c_nu}")
@@ -251,8 +252,6 @@ class RiskyArm(_Arm):
     nu: float
     B_nu: float
     c_nu: float
-
-    family = "RiskyArm"
 
     def __post_init__(self) -> None:
         _require(0.0 < self.p_bar_nu < 1.0,
@@ -297,18 +296,13 @@ class TimeVarying(ProgressModel):
     B: float
     c: float
 
-    family = "TimeVarying"
-
     def __post_init__(self) -> None:
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
         _require(self.B > 0.0, f"B must be positive, got {self.B}")
         _require(self.c >= 0.0, f"c must be nonnegative, got {self.c}")
 
     def _cum_hazard(self, t):
-        base = self.nu * math.exp(self.alpha)
-        if self.beta == 0.0:
-            return base * t
-        return base * _ops(t).expm1(self.beta * t) / self.beta
+        return self.nu * math.exp(self.alpha) * _growth_ratio(self.beta, t)
 
     def _hazard_integral(self, upper: float) -> float:
         # Substituting u = cumulative hazard turns the integrand into
@@ -359,8 +353,6 @@ class PayoffStream(_Arm):
     nu: float
     B_nu: float
 
-    family = "PayoffStream"
-
     def __post_init__(self) -> None:
         _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
         _require(self.B_nu > 0.0, f"B_nu must be positive, got {self.B_nu}")
@@ -377,8 +369,6 @@ class Tabulated(ProgressModel):
 
     taus: tuple
     values: tuple
-
-    family = "Tabulated"
 
     def __post_init__(self) -> None:
         _require(len(self.taus) == len(self.values),
@@ -424,13 +414,8 @@ class Tabulated(ProgressModel):
         return float(self.values[-1])
 
 
-_FAMILIES = {
-    "SafeArm": SafeArm,
-    "RiskyArm": RiskyArm,
-    "TimeVarying": TimeVarying,
-    "PayoffStream": PayoffStream,
-    "Tabulated": Tabulated,
-}
+_FAMILIES = {cls.__name__: cls for cls in (SafeArm, RiskyArm, TimeVarying,
+                                            PayoffStream, Tabulated)}
 
 
 def progress_model_from_dict(spec: dict) -> ProgressModel:
@@ -445,15 +430,19 @@ def progress_model_from_dict(spec: dict) -> ProgressModel:
             f"unknown progress-model family {name!r}; "
             f"expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[name]
+    entries = kwargs.items()
     if name == "Tabulated":
         for key in ("taus", "values"):
             if not isinstance(kwargs.get(key), (list, tuple)):
                 raise ModelValidationError(
                     f"Tabulated needs a list {key!r}, got {kwargs.get(key)!r}")
         kwargs = {"taus": tuple(kwargs["taus"]), "values": tuple(kwargs["values"])}
-    for key, val in kwargs.items():
-        if isinstance(val, bool):  # JSON true/false is not a number
-            raise ModelValidationError(f"{name}.{key} must be a number, got {val}")
+        entries = [(f"{key}[{i}]", val)
+                   for key, seq in kwargs.items() for i, val in enumerate(seq)]
+    for key, val in entries:
+        # bool is an int, but JSON true/false is not a number
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ModelValidationError(f"{name}.{key} must be a number, got {val!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -25,12 +25,12 @@ from .model import (
     ModelParams,
     ModelValidationError,
     ProgressModel,
-    _ops,
     no_shirk_check,
     posterior,
     validate_model,
 )
 from .policy import (
+    SearchCeilingError,
     _decayed_log_odds,
     hail_mary_belief,
     hail_mary_time,
@@ -100,7 +100,6 @@ class InfiniteHorizonPlan:
 # ---------------------------------------------------------------------------
 
 _GRID = 4096  # samples of the log-odds curve on [0, T]
-_NO_COST_SCAN = 1024  # cells of the costless benchmark's crossing scan
 
 
 def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
@@ -169,14 +168,14 @@ def solve(params: ModelParams, model: ProgressModel, *,
                 "model failed validation: " + ", ".join(report.failure_names()))
     T = params.T
     if T == 0.0:
-        return _finish(params, model, 0.0, 0.0, 0.0, DO_ONLY)
+        return _finish(params, model, 0.0, 0.0, DO_ONLY)
 
     # Stage one: the longest final stretch consistent with the prior's decay.
     top = _record_curve(params, model, tau_tol)
     logit_prior = math.log(params.p_bar / (1.0 - params.p_bar))
     feasible_prior = lambda x: logit_prior - params.lam * x >= top(x)[0]
     if feasible_prior(T):
-        return _finish(params, model, 0.0, 0.0, T, DO_ONLY)
+        return _finish(params, model, 0.0, T, DO_ONLY)
     # plain bisection keeps bar3 on the feasible side: q(bar3) <= p_bar
     bar3 = _largest_feasible(feasible_prior, 0.0, T, tau_tol)[0]
 
@@ -197,7 +196,7 @@ def solve(params: ModelParams, model: ProgressModel, *,
         binds = resid <= 2e-9 * max(1.0, slope * q_bar * (1.0 - q_bar))
     span = functools.cache(functools.partial(thinking_span, params, model))
     if binds and span(bar3) >= T - bar3:
-        return _finish(params, model, 0.0, T - bar3, bar3, THINK_DO)
+        return _finish(params, model, 0.0, bar3, THINK_DO)
     if bar3_self <= 0.0:
         raise SolverError(
             "the log-odds boundary curve peaks at zero: no final stretch in "
@@ -212,7 +211,7 @@ def solve(params: ModelParams, model: ProgressModel, *,
     tau3 = _final_stretch(F, span, bar3_self, T, tau_tol)
     tau1 = initial_doing_span(params, model, tau3)
     structure = DO_THINK_DO if tau1 > 1e-9 else THINK_DO
-    return _finish(params, model, tau1, T - tau1 - tau3, tau3, structure)
+    return _finish(params, model, tau1, tau3, structure)
 
 
 def _final_stretch(F, span, upper: float, T: float, tau_tol: float) -> float:
@@ -235,8 +234,8 @@ def _final_stretch(F, span, upper: float, T: float, tau_tol: float) -> float:
 
 
 def _finish(params: ModelParams, model: ProgressModel, tau1: float,
-            tau2: float, tau3: float, structure: str) -> PolicySchedule:
-    # force an exact horizon split before reporting
+            tau3: float, structure: str) -> PolicySchedule:
+    # thinking takes the rest: an exact horizon split
     tau2 = max(params.T - tau1 - tau3, 0.0)
     q_switch = hail_mary_belief(params, model, tau3)
     terminal = posterior(params.p_bar, params.lam, tau1 + tau3)
@@ -279,33 +278,23 @@ def solve_infinite_horizon(params: ModelParams,
 
 def solve_no_cost(params: ModelParams,
                   model: ProgressModel) -> Union[float, str]:
-    """Costless benchmark: the first horizon at which the prior crosses the
-    boundary curve, under the convention that effort is free and progress
-    is eventually worth the full reward.
+    """Costless benchmark: T1 of the costless agent, the smallest final
+    stretch at which its boundary belief reaches the prior, within the
+    horizon.
 
     The cost is forced to zero regardless of ``params.c``; the model must
-    satisfy V(inf) = B.  Returns the smallest root in (0, T], or the
-    DO_THROUGHOUT constant when there is none.
+    satisfy V(inf) = B.  Returns that stretch where it lies in (0, T], or
+    the DO_THROUGHOUT constant when it does not.
     """
     vinf = model.limit()
     if abs(vinf - params.B) > 1e-8 * max(1.0, params.B):
         raise ValueError(
             f"benchmark requires V(inf) = B, got V(inf) = {vinf}, B = {params.B}")
-    mu, lam, B, p_bar = params.mu, params.lam, params.B, params.p_bar
-
-    def gap(tau):
-        return (mu * model.value(tau)
-                - p_bar * B * (mu + (lam - mu) * _ops(tau).exp(-lam * tau)))
-
-    if params.T <= 0.0:
+    try:
+        t_one = hail_mary_time(replace(params, c=0.0), model, params.p_bar)
+    except SearchCeilingError:
         return DO_THROUGHOUT
-    taus = np.linspace(0.0, params.T, _NO_COST_SCAN + 1)
-    vals = gap(taus)
-    crossings = np.where((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
-    if crossings.size == 0:
-        return DO_THROUGHOUT
-    i = int(crossings[0])
-    return _roots.brentq(gap, taus[i], taus[i + 1], 1e-9)
+    return t_one if 0.0 < t_one <= params.T else DO_THROUGHOUT
 
 
 def belief_thresholds(params: ModelParams, model: ProgressModel) -> Thresholds:

@@ -114,6 +114,12 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
         **BASE_CONFIG["agent"], "B": math.inf}}),
     ("model_bool", "SafeArm.nu", {**BASE_CONFIG, "model": {
         **BASE_CONFIG["model"], "nu": True}}),
+    ("tabulated_bool", "Tabulated.values[0]", {**BASE_CONFIG, "model": {
+        "family": "Tabulated", "taus": [0, 1, 2, 3, 4],
+        "values": [False, True, True, True, True]}}),
+    ("tabulated_str", "Tabulated.taus[4]", {**BASE_CONFIG, "model": {
+        "family": "Tabulated", "taus": [0, 1, 2, 3, "15"],
+        "values": [0.0, 1.0, 1.5, 1.75, 1.75]}}),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
                                                  config):
@@ -193,6 +199,41 @@ def test_unwritable_out_dir_exits_4(config_path, tmp_path, capsys):
                "--out", str(tmp_path / "missing" / "dir")])
     assert rc == 4
     assert "output error" in capsys.readouterr().err
+
+
+def test_verify_solves_with_the_solver_block(config_path, tmp_path, capsys):
+    bad = config_path(solver={"tau_tol": 0.05})
+    rc = main(["verify", "--config", str(bad), "--out", str(tmp_path),
+               "--dt", "2e-3"])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_model_failing_validation_exits_2(config_path, tmp_path, capsys):
+    # a slow conversion arm is not concave enough relative to its slope
+    slow = config_path(model={"nu": 0.3, "B_nu": 5.0, "c_nu": 0.5})
+    rc = main(["solve", "--config", str(slow), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model failed validation: relative_concavity" in err
+
+
+def test_unwritable_result_file_exits_4(config_path, tmp_path, capsys):
+    (tmp_path / "schedule.json").mkdir()
+    rc = main(["solve", "--config", str(config_path()),
+               "--out", str(tmp_path)])
+    assert rc == 4
+    assert "output error" in capsys.readouterr().err
+
+
+def test_costless_anchor_writes_null_thresholds(config_path, tmp_path):
+    # effort is free, so the no-deadline indifference belief is not in
+    # (0, 1) and the belief landmarks are undefined
+    free = config_path(agent={"c": 0.0}, model={"c_nu": 0.0})
+    assert main(["solve", "--config", str(free), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "schedule.json").read_text())
+    assert payload["thresholds"] is None
+    assert payload["structure"] == "THINK_DO"
 
 
 def test_verify_against_grid_oracle(config_path, tmp_path):

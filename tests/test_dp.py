@@ -267,6 +267,15 @@ def test_no_feedback_equal_rates_continuity():
         extract_schedule(d2)[0][1], abs=1e-3)
 
 
+def test_no_feedback_refuses_a_grid_that_does_not_span_the_horizon():
+    nf = NoFeedbackModel(mu=1.0, nu=1.0 - 1e-7, B=5.0, c=0.5,
+                         p_bar=0.75, lam=0.75)
+    with pytest.raises(ValueError, match="does not span the horizon"):
+        dp_no_feedback(nf, 6.0, Grid.from_horizon(2.0, 2e-3))
+    spans = dp_no_feedback(nf, 1.0, Grid.from_horizon(1.0, 5e-3))
+    assert spans.grid.horizon == pytest.approx(1.0)
+
+
 def test_no_feedback_equal_rates_guard():
     with pytest.raises(ValueError):
         NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75, lam=0.75)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from dblab import (
     ModelParams,
     ModelValidationError,
     PayoffStream,
+    ProgressModel,
     RiskyArm,
     SafeArm,
     Tabulated,
@@ -25,6 +27,7 @@ from dblab import (
     progress_value_array,
     validate_model,
 )
+from dblab.model import _FAMILIES
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +323,21 @@ def test_model_from_dict_roundtrip():
                                   "B_nu": 5.0})
 
 
+def test_time_varying_without_drift_is_a_safe_arm():
+    # beta = 0 leaves a constant hazard nu*e^alpha: the sure arm's value
+    taus = np.linspace(0.0, 8.0, 201)
+    for alpha, B, c in ((0.2, 4.0, 0.3), (-0.4, 2.0, 0.0)):
+        drift_free = TimeVarying(nu=1.1, alpha=alpha, beta=0.0, B=B, c=c)
+        arm = SafeArm(nu=1.1 * math.exp(alpha), B_nu=B, c_nu=c)
+        for order in (0, 1, 2):
+            np.testing.assert_allclose(drift_free.value(taus, order),
+                                       arm.value(taus, order),
+                                       rtol=1e-12, atol=0.0)
+            assert drift_free.value(0.7, order) == pytest.approx(
+                arm.value(0.7, order), rel=1e-12)
+        assert drift_free.limit() == pytest.approx(arm.limit(), rel=1e-12)
+
+
 _REF_ARM = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)
 _TAB_TAUS = np.linspace(0.0, 8.0, 40)
 FIVE_FAMILIES = ALL_MODELS + [
@@ -328,6 +346,25 @@ TAU_ARRAYS = arrays(np.float64, st.integers(1, 6),
                     elements=st.floats(0.0, 6.0, allow_subnormal=False))
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
+
+
+def _concrete_families(cls=ProgressModel):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete_families(sub)
+
+
+def test_every_concrete_family_is_registered_under_its_name():
+    assert set(_concrete_families()) == set(_FAMILIES.values())
+    assert {type(m) for m in FIVE_FAMILIES} == set(_FAMILIES.values())
+
+
+@pytest.mark.parametrize("model", FIVE_FAMILIES, ids=lambda m: m.family)
+def test_family_rebuilds_from_its_spec(model):
+    assert _FAMILIES[model.family] is type(model)
+    spec = {"family": model.family, **dataclasses.asdict(model)}
+    assert progress_model_from_dict(spec) == model
 
 
 def _assert_scalar_float(x):

@@ -19,10 +19,12 @@ from dblab import (
     PayoffStream,
     RiskyArm,
     SafeArm,
+    SearchCeilingError,
     belief_thresholds,
     dp_reduced,
     extract_schedule,
     hail_mary_belief,
+    hail_mary_time,
     interval_taus,
     posterior,
     solve,
@@ -256,6 +258,32 @@ def test_no_cost_do_throughout_cases(params_at):
     full = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.0)
     assert solve_no_cost(params_at(0.5, c=0.0), full) is DO_THROUGHOUT
     assert solve_no_cost(params_at(4.0, c=0.0, p_bar=0.999), full) is DO_THROUGHOUT
+
+
+def test_no_cost_is_t1_of_the_costless_agent(rng):
+    # the benchmark forces c = 0, then reads T1 within the horizon
+    found = {"root": 0, DO_THROUGHOUT: 0}
+    for i in range(40):
+        p_bar, lam, mu, nu, B = (rng.uniform(0.05, 0.98),
+                                 *rng.uniform(0.1, 10.0, 3),
+                                 rng.uniform(1.0, 31.0))
+        model = (SafeArm(nu=nu, B_nu=B, c_nu=0.0) if i % 2
+                 else PayoffStream(nu=nu, B_nu=B))
+        for T in (0.5, 2.0, 8.0):
+            params = ModelParams(p_bar=p_bar, lam=lam, mu=mu, c=1.0, B=B, T=T)
+            got = solve_no_cost(params, model)
+            try:
+                t_one = hail_mary_time(dataclasses.replace(params, c=0.0),
+                                       model, p_bar)
+            except SearchCeilingError:
+                t_one = math.inf
+            if 0.0 < t_one <= T:
+                assert got == t_one
+                found["root"] += 1
+            else:
+                assert got is DO_THROUGHOUT
+                found[DO_THROUGHOUT] += 1
+    assert min(found.values()) > 0, found
 
 
 def test_no_cost_requires_full_progress_limit(params_at, safe_arm):
