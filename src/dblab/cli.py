@@ -62,13 +62,13 @@ def _fmt(value) -> str:
 
 def _normalize(obj):
     """Round floats to 12 significant digits so serialization is a fixed
-    point under parse/dump cycles."""
+    point under parse/dump cycles; null for a non-finite one (strict JSON)."""
     if isinstance(obj, dict):
         return {k: _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_normalize(v) for v in obj]
     if isinstance(obj, float):
-        return float("%.12g" % obj)
+        return float("%.12g" % obj) if np.isfinite(obj) else None
     return obj
 
 

@@ -137,9 +137,7 @@ def hail_mary_time(params: ModelParams, model: ProgressModel,
     # smallest crossing: locate the first sign change on a scan grid
     grid = np.linspace(0.0, hi, 257)
     vals = hail_mary_belief(params, model, grid) - p
-    idx = int(np.argmax(vals >= 0.0))
-    if idx == 0:
-        return 0.0
+    idx = int(np.argmax(vals >= 0.0))  # >= 1: q(0) = 0 < p
     return _roots.brentq(lambda t: q(t) - p, grid[idx - 1], grid[idx], 1e-9)
 
 

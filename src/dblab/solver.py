@@ -135,10 +135,13 @@ def _record_curve(params: ModelParams, model: ProgressModel, tau_tol: float):
 
 
 def _largest_feasible(feasible, lo: float, hi: float, tau_tol: float) -> tuple:
-    """Bracket (lo, hi) at most tau_tol wide on the largest x with feasible(x),
-    given feasible(lo) and not feasible(hi); plain bisection."""
+    """Bracket (lo, hi), at most tau_tol wide or else adjacent doubles, on
+    the largest x with feasible(x), given feasible(lo) and not
+    feasible(hi); plain bisection."""
     while hi - lo > tau_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if feasible(mid):
             lo = mid
         else:
@@ -159,8 +162,11 @@ def solve(params: ModelParams, model: ProgressModel, *,
 
     Raises :class:`ModelValidationError` when the value-of-progress model
     fails its standing conditions and :class:`SolverError` when a root
-    bracket cannot be established.
+    bracket cannot be established.  ``tau_tol``, the width in time of the
+    solver's own brackets, must be finite and >= 0 (else ValueError).
     """
+    if not 0.0 <= tau_tol < math.inf:
+        raise ValueError(f"tau_tol must be finite and >= 0, got {tau_tol}")
     if validate:
         report = validate_model(params, model)
         if not report.overall:
@@ -181,19 +187,10 @@ def solve(params: ModelParams, model: ProgressModel, *,
 
     # Stage two: re-anchor the final stretch on its own boundary belief.
     # Entered at q(x), a stretch x is feasible iff h(x) = H(x), so the
-    # longest one is the largest maximiser of h on [0, bar3].
+    # longest one is the largest maximiser of h on [0, bar3].  Where that is
+    # bar3 itself, the prior binds: think until indifference, then do.
     bar3_self = top(bar3)[1]
-    q_bar = hail_mary_belief(params, model, bar3)
-    resid = abs(q_bar - params.p_bar)
-    # The binding point is the entry belief itself: no opening doing
-    # period; think until indifference, then do.  Stage one leaves bar3
-    # within tau_tol of the binding point, so where bar3 is its own record
-    # the belief may miss p_bar by q'(bar3) times that much; the test
-    # allows two default tolerances in time, q' = (h' + lam) q (1 - q).
-    binds = resid <= 1e-9
-    if not binds and bar3_self == bar3 > 0.0:
-        slope = _decayed_log_odds(params, model, bar3, 1) + params.lam
-        binds = resid <= 2e-9 * max(1.0, slope * q_bar * (1.0 - q_bar))
+    binds = bar3_self == bar3 > 0.0
     span = functools.cache(functools.partial(thinking_span, params, model))
     if binds and span(bar3) >= T - bar3:
         return _finish(params, model, 0.0, bar3, THINK_DO)

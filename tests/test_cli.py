@@ -120,6 +120,13 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
     ("tabulated_str", "Tabulated.taus[4]", {**BASE_CONFIG, "model": {
         "family": "Tabulated", "taus": [0, 1, 2, 3, "15"],
         "values": [0.0, 1.0, 1.5, 1.75, 1.75]}}),
+    ("solver_negative", "tau_tol", {**BASE_CONFIG, "solver": {"tau_tol": -1}}),
+    # json writes nan as NaN, which json also reads
+    ("solver_nan", "tau_tol", {**BASE_CONFIG,
+                               "solver": {"tau_tol": math.nan}}),
+    ("agent_missing", "missing agent keys", {
+        "agent": {k: v for k, v in BASE_CONFIG["agent"].items() if k != "T"},
+        "model": BASE_CONFIG["model"]}),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
                                                  config):
@@ -186,12 +193,29 @@ assert not loaded, loaded
 
 
 def test_solver_failure_exits_3(config_path, tmp_path, capsys):
-    # a bisection tolerance this coarse degenerates the feasibility
-    # bracket, which the solver reports rather than papering over
-    bad = config_path(solver={"tau_tol": 0.05})
+    # a bisection tolerance as wide as the horizon leaves stage one's
+    # bracket at zero, which the solver reports rather than papering over
+    bad = config_path(solver={"tau_tol": 2.0})
     rc = main(["solve", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 3
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "peaks at zero" in err
+
+
+@pytest.mark.parametrize("tau_tol", [1e-16, 1e-6, 1e-3])
+def test_solve_with_the_solver_block(config_path, tmp_path, tau_tol):
+    # from below the spacing of doubles to a coarse tolerance, the anchor
+    # stays THINK_DO and its taus move by less than tau_tol + the default
+    assert main(["solve", "--config", str(config_path()),
+                 "--out", str(tmp_path)]) == 0
+    ref = json.loads((tmp_path / "schedule.json").read_text())
+    rc = main(["solve", "--config", str(config_path(
+        solver={"tau_tol": tau_tol})), "--out", str(tmp_path)])
+    assert rc == 0
+    got = json.loads((tmp_path / "schedule.json").read_text())
+    assert got["structure"] == "THINK_DO"
+    for key in ("tau1", "tau2", "tau3"):
+        assert abs(got[key] - ref[key]) <= tau_tol + 1e-9, key
 
 
 def test_unwritable_out_dir_exits_4(config_path, tmp_path, capsys):
@@ -202,11 +226,16 @@ def test_unwritable_out_dir_exits_4(config_path, tmp_path, capsys):
 
 
 def test_verify_solves_with_the_solver_block(config_path, tmp_path, capsys):
+    # tau_tol = 0.05 moves tau3 from 1.2 to 1.1875, past the 5*dt that
+    # verify allows at dt = 2e-3; at the default tolerance it passes
     bad = config_path(solver={"tau_tol": 0.05})
     rc = main(["verify", "--config", str(bad), "--out", str(tmp_path),
                "--dt", "2e-3"])
     assert rc == 3
     assert "solver failure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["pass"] is False
+    assert report["solver"] == pytest.approx([0.0, 0.7125, 1.1875], abs=1e-9)
 
 
 def test_model_failing_validation_exits_2(config_path, tmp_path, capsys):
@@ -226,14 +255,31 @@ def test_unwritable_result_file_exits_4(config_path, tmp_path, capsys):
     assert "output error" in capsys.readouterr().err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_costless_anchor_writes_null_thresholds(config_path, tmp_path):
     # effort is free, so the no-deadline indifference belief is not in
-    # (0, 1) and the belief landmarks are undefined
-    free = config_path(agent={"c": 0.0}, model={"c_nu": 0.0})
-    assert main(["solve", "--config", str(free), "--out", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "schedule.json").read_text())
-    assert payload["thresholds"] is None
-    assert payload["structure"] == "THINK_DO"
+    # (0, 1) and the belief landmarks are undefined; an infinite value is
+    # written as null, so the file is strict JSON
+    plans = [
+        # the idea is worth B: the no-deadline plan never does, p_hat = inf
+        ({"c_nu": 0.0}, {"p_hat": None, "switch_time": 0.0,
+                         "structure": "THINK_THROUGHOUT"}),
+        # doing is free and progress is not: do forever, switch_time = inf
+        ({}, {"p_hat": 0.0, "switch_time": None,
+              "structure": "DO_THROUGHOUT"}),
+    ]
+    for model, plan in plans:
+        free = config_path(agent={"c": 0.0}, model=model)
+        assert main(["solve", "--config", str(free),
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "schedule.json").read_text(),
+                             parse_constant=_refuse_constant)
+        assert payload["thresholds"] is None
+        assert payload["structure"] == "THINK_DO"
+        assert payload["infinite_horizon"] == plan
 
 
 def test_verify_against_grid_oracle(config_path, tmp_path):
@@ -376,13 +422,28 @@ def test_sweep_csv_contract(config_path, tmp_path):
     assert all(b > a for a, b in zip(totals, totals[1:]))
 
 
-def test_sweep_needs_variable_and_grid(config_path, tmp_path):
+def test_sweep_reads_variable_and_grid_list_from_the_config(config_path,
+                                                           tmp_path):
+    args = ["sweep", "--out", str(tmp_path), "--config"]
+    assert main(args + [str(config_path()), "--grid", "0.5:2.0:0.5",
+                        "--variable", "T"]) == 0
+    flags = (tmp_path / "sweep.csv").read_bytes()
+    block = {"variable": "T", "grid": [0.5, 1, 1.5, 2.0]}
+    assert main(args + [str(config_path(sweep=block))]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == flags
+
+
+def test_sweep_needs_variable_and_grid(config_path, tmp_path, capsys):
     rc = main(["sweep", "--config", str(config_path()),
                "--out", str(tmp_path), "--grid", "0.5:2.0:0.5"])
     assert rc == 2
     rc = main(["sweep", "--config", str(config_path()),
                "--out", str(tmp_path), "--variable", "T"])
     assert rc == 2
+    rc = main(["sweep", "--config", str(config_path(sweep={"grid": 2.0})),
+               "--out", str(tmp_path), "--variable", "T"])
+    assert rc == 2
+    assert "unusable grid spec" in capsys.readouterr().err
 
 
 def test_simulate_csv_deterministic(config_path, tmp_path):

@@ -386,8 +386,8 @@ def test_solver_matches_dp_past_the_exponential_range():
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0, 8.0])
 def test_solver_matches_dp_where_the_entry_belief_binds(T):
     # the prior binds, but stage one's bisection leaves q(bar3) 1.04e-9
-    # from p_bar, where q' = 1.17: outside a fixed 1e-9 window in belief,
-    # inside two tolerances in time.  The schedule is THINK_DO
+    # from p_bar, where q' = 1.17.  bar3 is its own record, so the
+    # schedule is THINK_DO whatever that gap
     params = ModelParams(p_bar=0.33871153438068924, lam=0.4338442064312078,
                          mu=1.287333771821863, c=0.054943772189583046,
                          B=2.5757320058278683, T=T)
@@ -470,6 +470,60 @@ def test_steep_opening_stretch_is_resolved_to_the_bracket():
     for g, r in zip((got.tau1, got.tau2, got.tau3),
                     (ref.tau1, ref.tau2, ref.tau3)):
         assert abs(g - r) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# tau_tol over its whole range
+# ---------------------------------------------------------------------------
+
+def _taus(sched):
+    return sched.tau1, sched.tau2, sched.tau3
+
+
+def test_coarse_tolerance_keeps_the_structure_on_cross_check_draws(rng):
+    # where the prior binds, stage one stops up to tau_tol short of the
+    # binding point; THINK_DO is read off the record structure, not off a
+    # window on the belief there, so a coarse tolerance never fails a solve
+    think_do = 0
+    for _ in range(20):
+        params, model = _random_instance(rng)
+        for T in (0.5, 1.0, 2.0, 4.0, 8.0):
+            p = dataclasses.replace(params, T=T)
+            ref = solve(p, model, validate=False, tau_tol=1e-13)
+            think_do += ref.structure == THINK_DO
+            for tau_tol in (1e-6, 1e-4, 1e-3):
+                got = solve(p, model, validate=False, tau_tol=tau_tol)
+                assert got.structure == ref.structure, (tau_tol, p, model)
+                if tau_tol == 1e-6:
+                    assert all(abs(g - r) <= 1e-4 for g, r in
+                               zip(_taus(got), _taus(ref))), (p, model)
+    assert think_do > 0
+
+
+def test_anchor_at_a_coarse_tolerance_is_think_do(base_params, safe_arm):
+    got = solve(base_params, safe_arm, tau_tol=0.05)
+    ref = solve(base_params, safe_arm)
+    assert got.structure == ref.structure == THINK_DO
+    assert all(abs(g - r) <= 0.05 for g, r in zip(_taus(got), _taus(ref)))
+
+
+@pytest.mark.parametrize("T", [1.9, 6.0])
+@pytest.mark.parametrize("tau_tol", [1e-16, 0.0])
+def test_tolerance_below_the_double_spacing_ends_the_search(params_at,
+                                                             safe_arm, T,
+                                                             tau_tol):
+    # the bisection stops at adjacent doubles instead of looping forever
+    got = solve(params_at(T), safe_arm, tau_tol=tau_tol)
+    ref = solve(params_at(T), safe_arm, tau_tol=1e-15)
+    assert got.structure == ref.structure
+    assert all(abs(g - r) <= 1e-12 for g, r in zip(_taus(got), _taus(ref)))
+
+
+@pytest.mark.parametrize("tau_tol", [-1.0, math.nan, math.inf])
+def test_solve_refuses_a_negative_or_non_finite_tolerance(base_params,
+                                                          safe_arm, tau_tol):
+    with pytest.raises(ValueError, match="tau_tol"):
+        solve(base_params, safe_arm, tau_tol=tau_tol)
 
 
 # ---------------------------------------------------------------------------
