@@ -62,11 +62,11 @@ from .dp import (
     CoarseGridError,
     DPSolution,
     Grid,
+    agreement,
     dp_no_feedback,
     dp_reduced,
     dp_two_stage,
     extract_schedule,
-    interval_taus,
     majority_intervals,
 )
 from .nofeedback import (
@@ -104,9 +104,8 @@ __all__ = [
     "DO_ONLY", "DO_THINK_DO", "DO_THROUGHOUT", "THINK_DO",
     "InfiniteHorizonPlan", "PolicySchedule", "SolverError", "Thresholds",
     "belief_thresholds", "solve", "solve_infinite_horizon", "solve_no_cost",
-    "CoarseGridError", "DPSolution", "Grid", "dp_no_feedback", "dp_reduced",
-    "dp_two_stage", "extract_schedule", "interval_taus",
-    "majority_intervals",
+    "CoarseGridError", "DPSolution", "Grid", "agreement", "dp_no_feedback",
+    "dp_reduced", "dp_two_stage", "extract_schedule", "majority_intervals",
     "NoFeedbackModel", "doing_density", "no_solution_prob",
     "progress_given_no_solution", "solution_density",
     "OutcomeSummary", "SimConfig", "SimResult", "backload",

@@ -295,25 +295,34 @@ def extract_schedule(dp: DPSolution) -> tuple:
     return dp.switch_times
 
 
-def interval_taus(intervals) -> tuple:
-    """Collapse (start, end, action) intervals to (tau1, tau2, tau3):
-    leading doing, total thinking, trailing doing.  Without a thinking
-    interval the whole span is the final stretch, ``(0, 0, T)``, the way
-    the closed-form solver reports a doing-only schedule."""
-    tau1 = tau2 = tau3 = 0.0
-    seen_think = False
-    for start, end, label in intervals:
-        span = end - start
-        if label == ACTION_THINK:
-            tau2 += span
-            seen_think = True
-        elif seen_think:
-            tau3 += span
-        else:
-            tau1 += span
-    if not seen_think:
-        return 0.0, 0.0, tau1
-    return tau1, tau2, tau3
+def agreement(schedule, dp: DPSolution) -> dict:
+    """Judge a schedule's (tau1, tau2, tau3) against the oracle's path: the
+    ``solver`` and ``oracle`` taus, the ``tolerance`` 5*dt, ``pass``, and a
+    ``reason`` on a failure.  The path has a tau form (else ``oracle`` is
+    None) when it has at most three intervals, DO and THINK labels only and
+    at most one THINK block.  A thinking block under one step cannot show
+    on the grid: when 0 < tau2 < dt and the path never thinks, the schedule
+    is judged as the doing-only one, given as ``judged_as_do_only``."""
+    dt = dp.grid.dt
+    tol = 5.0 * dt
+    judged = [schedule.tau1, schedule.tau2, schedule.tau3]
+    report = {"solver": judged, "oracle": None, "tolerance": tol}
+    labels = [lab for *_, lab in dp.switch_times]
+    think = [(a, b) for a, b, lab in dp.switch_times if lab == ACTION_THINK]
+    if (len(labels) > 3 or len(think) > 1
+            or not set(labels) <= {ACTION_DO, ACTION_THINK}):
+        return {**report, "pass": False,
+                "reason": f"the oracle's path {labels} has no tau form"}
+    (a, b), = think or [(0.0, 0.0)]  # a path that never thinks: (0, 0, T)
+    report["oracle"] = oracle = [a, b - a, dp.grid.horizon - b]
+    if not think and 0.0 < schedule.tau2 < dt:
+        judged = report["judged_as_do_only"] = [0.0, 0.0, schedule.total]
+    off = [f"tau{i} ({abs(o - s):.6g})" for i, (o, s) in
+           enumerate(zip(oracle, judged), 1) if not abs(o - s) <= tol]
+    report["pass"] = not off
+    if off:
+        report["reason"] = f"|solver - oracle| > {tol:.6g} at {', '.join(off)}"
+    return report
 
 
 def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:

@@ -516,9 +516,23 @@ def validate_model(params: ModelParams, model: ProgressModel) -> ValidationRepor
     v0 = model.value(0.0)
     checks.append(CheckResult("value_at_zero", abs(v0) <= 1e-12, 0.0, v0))
 
+    # every check reads terms sampled on the grid; they are sampled
+    # quietly, and one past the range of doubles fails here by name
+    mu, lam, B, c = params.mu, params.lam, params.B, params.c
+    salient = mu > lam and lam * B > c  # deadline salience is relevant
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [progress_value_array(model, grid, 1),
+                 progress_value_array(model, grid, 2)]
+        if salient:
+            from .policy import _belief_terms  # late import: avoids a cycle
+            u2 = -lam * (lam * B - c) * np.exp(-lam * grid)
+            terms += [(mu - lam) * u2, *_belief_terms(params, model, grid)]
+    size = np.abs(terms).max(axis=0)
+    checks.append(CheckResult("finite_terms", *_first_failure(
+        ~np.isfinite(size), grid, size), detail="largest |term| at tau"))
+    d1, d2 = terms[:2]
+
     # strict increase: first derivative (value differences for Tabulated)
-    d1 = progress_value_array(model, grid, 1)
-    d2 = progress_value_array(model, grid, 2)
     if advisory_derivs:
         rise, at = np.diff(progress_value_array(model, grid)), grid[1:]
     else:
@@ -553,12 +567,8 @@ def validate_model(params: ModelParams, model: ProgressModel) -> ValidationRepor
                                   None, None, detail=str(exc)))
 
     # deadline-salience monotonicity, relevant only when mu > lam
-    if params.mu > params.lam and params.lam * params.B > params.c:
-        from .policy import hail_mary_belief_raw  # late import: avoids a cycle
-
-        mu, lam, B, c = params.mu, params.lam, params.B, params.c
-        u2 = -lam * (lam * B - c) * np.exp(-lam * grid)
-        f = mu * d2 / ((mu - lam) * u2) - hail_mary_belief_raw(params, model, grid)
+    if salient and np.isfinite(size).all():
+        f = mu * d2 / terms[2] - terms[3] / terms[4]
         diffs = np.diff(f)
         tol = 1e-9 * max(1.0, float(np.max(np.abs(f))))
         # either direction is monotone; a ratio that rises somewhere fails

@@ -261,12 +261,12 @@ SWEEP_COLUMNS = ("grid_value", "tau1", "tau2", "tau3", "structure",
 
 
 def _sweep_point(params: ModelParams, model: ProgressModel, variable: str,
-                 value: float, nu: float) -> dict:
+                 value: float, nu: float, solver: dict) -> dict:
     row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
     row["grid_value"] = value
     try:
         point = dataclasses.replace(params, **{variable: value})
-        sched = solve(point, model)
+        sched = solve(point, model, **solver)
         routes = route_probabilities(sched, point, nu)
         flipped = route_probabilities(backload(sched), point, nu)
         row.update(tau1=sched.tau1, tau2=sched.tau2, tau3=sched.tau3,
@@ -283,15 +283,16 @@ def _sweep_point(params: ModelParams, model: ProgressModel, variable: str,
 
 
 def sweep(params: ModelParams, model: ProgressModel, variable: str,
-          grid, *, nu: float = None) -> list:
+          grid, *, nu: float = None, **solver) -> list:
     """Solve and score the schedule across a parameter grid.
 
-    ``variable`` is the ModelParams field to vary ("T" or "p_bar").
-    Points that fail to solve get an ERROR structure tag and NaN metrics
-    instead of aborting the sweep.  Rows come back in grid order.
+    ``variable`` is the ModelParams field to vary ("T" or "p_bar"); the
+    ``solver`` keywords (``tau_tol``) go to each `solve`.  Points that fail
+    to solve get an ERROR structure tag and NaN metrics instead of aborting
+    the sweep.  Rows come back in grid order.
     """
     if variable not in ("T", "p_bar"):
         raise ValueError(f"variable must be 'T' or 'p_bar', got {variable!r}")
     rate = conversion_rate(model, nu)
-    return [_sweep_point(params, model, variable, float(v), rate)
+    return [_sweep_point(params, model, variable, float(v), rate, solver)
             for v in grid]

@@ -21,13 +21,13 @@ from dblab import (
     NoFeedbackModel,
     SafeArm,
     SimConfig,
+    agreement,
     backload,
     belief_thresholds,
     dp_no_feedback,
     dp_reduced,
     dp_two_stage,
     extract_schedule,
-    interval_taus,
     majority_intervals,
     no_solution_prob,
     progress_given_no_solution,
@@ -60,10 +60,6 @@ def criterion(number: int, summary: str):
     print(f"[PASS] criterion {number}: {summary}")
 
 
-def _dp_taus(dp):
-    return interval_taus(extract_schedule(dp))
-
-
 def test_criterion_1_reference_schedules_and_oracle():
     began = time.perf_counter()
     with criterion(1, "reference schedules at T=1.9 and T=4 match the "
@@ -76,8 +72,8 @@ def test_criterion_1_reference_schedules_and_oracle():
                 assert g == pytest.approx(w, abs=1e-3)
             dp = dp_reduced(_at(T), MODEL, Grid.from_horizon(T, 1e-3),
                             keep_values=False)
-            for o, g in zip(_dp_taus(dp), got):
-                assert o == pytest.approx(g, abs=5e-3)
+            report = agreement(sched, dp)
+            assert report["pass"], report
         assert time.perf_counter() - began < 30.0
 
 
@@ -117,7 +113,8 @@ def test_criterion_4_costless_benchmark():
         dt = 1e-3
         dp = dp_reduced(_at(1.9, c=0.0), full,
                         Grid.from_horizon(1.9, dt), keep_values=False)
-        assert _dp_taus(dp)[2] == pytest.approx(root, abs=5.0 * dt)
+        assert agreement(sched, dp)["oracle"][2] == pytest.approx(
+            root, abs=5.0 * dt)
 
 
 def test_criterion_5_schedule_monotonicity_and_belief_floor():

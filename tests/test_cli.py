@@ -238,6 +238,21 @@ def test_verify_solves_with_the_solver_block(config_path, tmp_path, capsys):
     assert report["solver"] == pytest.approx([0.0, 0.7125, 1.1875], abs=1e-9)
 
 
+def test_sweep_solves_with_the_solver_block(config_path, tmp_path):
+    # tau_tol = 0.05 moves the anchor at T = 2 to (0, 0.8125, 1.1875); the
+    # sweep row at T = 2 is that same solve
+    path = config_path(agent={"T": 2.0}, solver={"tau_tol": 0.05})
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    want = json.loads((tmp_path / "schedule.json").read_text())
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path),
+                 "--variable", "T", "--grid", "2:2:1"]) == 0
+    header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+    got = dict(zip(header.split(","), row.split(",")))
+    assert [float(got[k]) for k in ("tau1", "tau2", "tau3")] == \
+        [want[k] for k in ("tau1", "tau2", "tau3")]
+    assert want["tau2"] == pytest.approx(0.8125, abs=1e-9)
+
+
 def test_model_failing_validation_exits_2(config_path, tmp_path, capsys):
     # a slow conversion arm is not concave enough relative to its slope
     slow = config_path(model={"nu": 0.3, "B_nu": 5.0, "c_nu": 0.5})

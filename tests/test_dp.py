@@ -2,6 +2,7 @@
 robustness, switch-time convergence, the explicit two-stage variant, and
 the unobserved-progress variant."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from dblab import (
     NoFeedbackModel,
     RiskyArm,
     SafeArm,
+    agreement,
     do_throughout_value,
     dp_no_feedback,
     dp_reduced,
@@ -166,6 +168,84 @@ def test_switch_time_convergence(base_params, safe_arm):
     assert errs[2] <= 1e-3
     assert errs[0] / errs[1] >= 1.8
     assert errs[1] / errs[2] >= 1.8
+
+
+# ---------------------------------------------------------------------------
+# the judge of a schedule against the oracle's path
+# ---------------------------------------------------------------------------
+
+_DT = 2.0 ** -9  # a binary step, so the sums and deltas below are exact
+
+
+@pytest.fixture(scope="module")
+def judged_run():
+    params = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=2.0)
+    model = SafeArm(nu=1.0, B_nu=5.0, c_nu=0.5)
+    return solve(params, model), dp_reduced(
+        params, model, Grid.from_horizon(2.0, _DT), keep_values=False)
+
+
+def _judge(run, taus, path):
+    sched, dp = run
+    return agreement(dataclasses.replace(sched, tau1=taus[0], tau2=taus[1],
+                                         tau3=taus[2]),
+                     dataclasses.replace(dp, switch_times=path))
+
+
+def test_agreement_on_the_real_run(judged_run):
+    report = agreement(*judged_run)
+    assert report["pass"] is True
+    assert report["tolerance"] == 5.0 * _DT
+    assert report["oracle"][0] == 0.0
+    assert sum(report["oracle"]) == pytest.approx(2.0, abs=1e-12)
+    assert "reason" not in report and "judged_as_do_only" not in report
+
+
+@pytest.mark.parametrize("path, taus", [
+    (((0.0, 2.0, ACTION_DO),), (0.0, 0.0, 2.0)),
+    (((0.0, 0.75, ACTION_THINK), (0.75, 2.0, ACTION_DO)), (0.0, 0.75, 1.25)),
+    (((0.0, 0.25, ACTION_DO), (0.25, 1.0, ACTION_THINK),
+      (1.0, 2.0, ACTION_DO)), (0.25, 0.75, 1.0)),
+], ids=["DO_ONLY", "THINK_DO", "DO_THINK_DO"])
+def test_agreement_reads_the_path_as_taus(judged_run, path, taus):
+    report = _judge(judged_run, taus, path)
+    assert report == {"solver": list(taus), "oracle": list(taus),
+                      "tolerance": 5.0 * _DT, "pass": True}
+
+
+def test_agreement_judges_a_sub_step_thinking_block_as_doing(judged_run):
+    do_only = ((0.0, 2.0, ACTION_DO),)
+    report = _judge(judged_run, (1.0, 0.5 * _DT, 1.0 - 0.5 * _DT), do_only)
+    assert report["pass"] is True
+    assert report["judged_as_do_only"] == [0.0, 0.0, 2.0]
+    assert report["solver"] == [1.0, 0.5 * _DT, 1.0 - 0.5 * _DT]
+    # a block of one full step would show on the grid: no rule, a failure
+    report = _judge(judged_run, (1.0, _DT, 1.0 - _DT), do_only)
+    assert report["pass"] is False and "judged_as_do_only" not in report
+    assert "tau1" in report["reason"]
+
+
+@pytest.mark.parametrize("path", [
+    ((0.0, 0.5, ACTION_THINK), (0.5, 1.0, ACTION_DO),
+     (1.0, 2.0, ACTION_THINK)),
+    ((0.0, 1.0, ACTION_DO), (1.0, 2.0, ACTION_IDLE)),
+], ids=["two_think_blocks", "idle"])
+def test_agreement_fails_a_path_without_a_tau_form(judged_run, path):
+    report = _judge(judged_run, (0.0, 0.0, 2.0), path)
+    assert report["pass"] is False and report["oracle"] is None
+    assert "no tau form" in report["reason"]
+
+
+def test_agreement_tolerance_is_inclusive(judged_run):
+    path = ((0.0, 0.75, ACTION_THINK), (0.75, 2.0, ACTION_DO))
+    tol = 5.0 * _DT
+    at = _judge(judged_run, (0.0, 0.75 + tol, 1.25 - tol), path)
+    assert at["pass"] is True and "reason" not in at
+    above = tol + 2.0 ** -30
+    past = _judge(judged_run, (0.0, 0.75 + above, 1.25 - above), path)
+    assert past["pass"] is False
+    assert "tau1" not in past["reason"]
+    assert "tau2" in past["reason"] and "tau3" in past["reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,21 @@ def test_validate_flags_progress_worth_more_than_reward(base_params):
     lavish = SafeArm(nu=1.0, B_nu=50.0, c_nu=0.0)  # limit 50 > B + c/mu
     report = validate_model(base_params, lavish)
     assert "limit_within_reward_bound" in report.failure_names()
+
+
+def test_validate_fails_an_agent_whose_terms_overflow(base_params, safe_arm):
+    # mu*B overflows a double, so the deadline-salience terms are not
+    # finite: one named hard check fails, and nothing warns
+    params = dataclasses.replace(base_params, B=1e308, mu=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_model(params, safe_arm)
+    assert not report.overall
+    assert report.failure_names() == ["finite_terms"]
+    failing, = [c for c in report.checks if c.name == "finite_terms"]
+    assert not failing.advisory
+    assert failing.witness_tau is not None
+    assert not math.isfinite(failing.witness_value)
 
 
 def test_validate_tabulated_concavity_is_advisory(base_params):

@@ -20,12 +20,11 @@ from dblab import (
     RiskyArm,
     SafeArm,
     SearchCeilingError,
+    agreement,
     belief_thresholds,
     dp_reduced,
-    extract_schedule,
     hail_mary_belief,
     hail_mary_time,
-    interval_taus,
     posterior,
     solve,
     solve_infinite_horizon,
@@ -130,13 +129,15 @@ def test_solve_accepts_numpy_scalar_params(base_params, safe_arm):
 
 
 def test_solve_rejects_an_overflowing_agent(base_params, safe_arm):
-    # a finite B so large that mu*B overflows: the boundary belief is NaN
-    # on the whole grid, which must be an invalid model, not an IndexError
+    # a finite B so large that mu*B overflows: validation fails it by name;
+    # unvalidated, the boundary belief is NaN on the whole grid, which must
+    # be an invalid model, not an IndexError
     params = dataclasses.replace(base_params, B=1e308, mu=10.0)
+    with pytest.raises(ModelValidationError, match="finite_terms"):
+        solve(params, safe_arm)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert validate_model(params, safe_arm).overall
         with pytest.raises(ModelValidationError, match="overflow"):
-            solve(params, safe_arm)
+            solve(params, safe_arm, validate=False)
 
 
 def test_schedule_fields_are_plain_floats(base_params, safe_arm):
@@ -335,21 +336,8 @@ def _random_instance(rng):
             return params, model
 
 
-def _dp_taus(dp, T):
-    """Collapse the oracle's action intervals to (tau1, tau2, tau3)."""
-    intervals = extract_schedule(dp)
-    labels = [lab for _, _, lab in intervals]
-    assert len(intervals) <= 3, f"unexpected interval pattern {labels}"
-    assert all(lab in ("DO", "THINK") for lab in labels)
-    assert labels.count("THINK") <= 1, f"split thinking period: {intervals}"
-    taus = interval_taus(intervals)
-    assert sum(taus) == pytest.approx(T, abs=1e-9)
-    return taus
-
-
 def test_solver_matches_dp_oracle_on_random_instances(rng):
     dt = 1e-3
-    tol = 5.0 * dt
     for _ in range(50):
         params, model = _random_instance(rng)
         for T in (0.5, 1.0, 2.0, 4.0, 8.0):
@@ -357,13 +345,8 @@ def test_solver_matches_dp_oracle_on_random_instances(rng):
             sched = solve(p, model, validate=False)
             dp = dp_reduced(p, model, Grid.from_horizon(T, dt),
                             keep_values=False)
-            t1, t2, t3 = _dp_taus(dp, T)
-            assert abs(t1 - sched.tau1) <= tol, (
-                f"tau1 mismatch at {p}, {model}: dp={t1} vs {sched.tau1}")
-            assert abs(t2 - sched.tau2) <= tol, (
-                f"tau2 mismatch at {p}, {model}: dp={t2} vs {sched.tau2}")
-            assert abs(t3 - sched.tau3) <= tol, (
-                f"tau3 mismatch at {p}, {model}: dp={t3} vs {sched.tau3}")
+            report = agreement(sched, dp)
+            assert report["pass"], f"{report} at {p}, {model}"
 
 
 def test_solver_matches_dp_past_the_exponential_range():
@@ -378,9 +361,8 @@ def test_solver_matches_dp_past_the_exponential_range():
     assert sched.structure == THINK_DO
     dp = dp_reduced(params, model, Grid.from_horizon(params.T, 1e-3),
                     keep_values=False)
-    for got, want in zip((sched.tau1, sched.tau2, sched.tau3),
-                         _dp_taus(dp, params.T)):
-        assert abs(got - want) <= 5e-3
+    report = agreement(sched, dp)
+    assert report["pass"], report
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 4.0, 8.0])
@@ -397,9 +379,8 @@ def test_solver_matches_dp_where_the_entry_belief_binds(T):
     dt = 2e-3
     dp = dp_reduced(params, model, Grid.from_horizon(T, dt),
                     keep_values=False)
-    for got, want in zip((sched.tau1, sched.tau2, sched.tau3),
-                         _dp_taus(dp, T)):
-        assert abs(got - want) <= 5.0 * dt
+    report = agreement(sched, dp)
+    assert report["pass"], report
 
 
 def _wide_instance(rng, family):
@@ -428,16 +409,6 @@ def _wide_instance(rng, family):
             return params, model
 
 
-def _assert_matches_dp(params, model, dt):
-    sched = solve(params, model, validate=False)
-    dp = dp_reduced(params, model, Grid.from_horizon(params.T, dt),
-                    keep_values=False)
-    want = _dp_taus(dp, params.T)
-    got = (sched.tau1, sched.tau2, sched.tau3)
-    assert all(abs(g - w) <= 5.0 * dt for g, w in zip(got, want)), (
-        f"{got} vs dp {want} at {params}, {model}")
-
-
 def test_solver_matches_dp_over_the_wide_range(rng):
     # wide draws reach the regime where the thinking span jumps to
     # infinity below some final stretch t3*: past F(t3*) the final stretch
@@ -446,8 +417,11 @@ def test_solver_matches_dp_over_the_wide_range(rng):
         for _ in range(4):
             params, model = _wide_instance(rng, family)
             for T in (0.5, 2.0, 8.0):
-                _assert_matches_dp(dataclasses.replace(params, T=T), model,
-                                   2e-3)
+                p = dataclasses.replace(params, T=T)
+                dp = dp_reduced(p, model, Grid.from_horizon(T, 2e-3),
+                                keep_values=False)
+                report = agreement(solve(p, model, validate=False), dp)
+                assert report["pass"], f"{report} at {p}, {model}"
 
 
 def test_solver_matches_dp_past_the_thinking_span_jump():
@@ -456,7 +430,10 @@ def test_solver_matches_dp_past_the_thinking_span_jump():
                          B=22.805669981003064, T=4.0)
     model = SafeArm(nu=9.762059738671445, B_nu=12.53970515996461,
                     c_nu=1.3239438615265038)
-    _assert_matches_dp(params, model, 1e-3)
+    dp = dp_reduced(params, model, Grid.from_horizon(params.T, 1e-3),
+                    keep_values=False)
+    report = agreement(solve(params, model, validate=False), dp)
+    assert report["pass"], report
 
 
 def test_steep_opening_stretch_is_resolved_to_the_bracket():
