@@ -245,7 +245,8 @@ def cmd_verify(args) -> int:
     print(f"verify[{kind}] dt={_fmt(dt)}: {status}")
     print(f"wrote {out}")
     if not report["pass"]:
-        raise SolverError("oracle disagrees with closed-form schedule")
+        why = report.get("reason") or f"its path fails '{report['check']}'"
+        raise SolverError(f"oracle disagrees with closed-form schedule: {why}")
     return 0
 
 

@@ -24,6 +24,8 @@ from .model import (
     ProgressModel,
     RiskyArm,
     SafeArm,
+    _as_taus,
+    _runs,
     posterior,
     progress_value_array,
 )
@@ -271,9 +273,7 @@ def _intervals_from_path(grid: Grid, actions: tuple, path_actions: np.ndarray,
     between the two pure actions are refined by interpolating the
     preference gap, which is accurate below one step."""
     N, dt = grid.n_steps, grid.dt
-    if N == 0:
-        return ()
-    j = np.flatnonzero(np.diff(path_actions)) + 1
+    j, runs = _runs(path_actions)
     raw = j * dt
     g0, g1 = path_gaps[j - 1], path_gaps[j]
     # DO and THINK are actions 0 and 1; a switch between them is refined
@@ -284,7 +284,7 @@ def _intervals_from_path(grid: Grid, actions: tuple, path_actions: np.ndarray,
     bounds = [0.0, *np.where(refine, np.minimum(np.maximum(t_star, raw - dt),
                                                 raw + dt), raw).tolist(),
               N * dt]
-    labels = [actions[a] for a in path_actions[np.r_[0, j]].tolist()]
+    labels = [actions[a] for a in runs.tolist()]
     return tuple(zip(bounds[:-1], bounds[1:], labels))
 
 
@@ -296,16 +296,16 @@ def extract_schedule(dp: DPSolution) -> tuple:
 
 
 def agreement(schedule, dp: DPSolution) -> dict:
-    """Judge a schedule's (tau1, tau2, tau3) against the oracle's path: the
-    ``solver`` and ``oracle`` taus, the ``tolerance`` 5*dt, ``pass``, and a
-    ``reason`` on a failure.  The path has a tau form (else ``oracle`` is
-    None) when it has at most three intervals, DO and THINK labels only and
-    at most one THINK block.  A thinking block under one step cannot show
+    """Judge a schedule, or a plain (tau1, tau2, tau3), against the
+    oracle's path: the ``solver`` and ``oracle`` taus, the ``tolerance``
+    5*dt, ``pass``, and a ``reason`` on a failure.  The path has a tau form
+    (else ``oracle`` is None) when it has at most three intervals, DO and
+    THINK labels only and at most one THINK block.  A thinking block under one step cannot show
     on the grid: when 0 < tau2 < dt and the path never thinks, the schedule
     is judged as the doing-only one, given as ``judged_as_do_only``."""
     dt = dp.grid.dt
     tol = 5.0 * dt
-    judged = [schedule.tau1, schedule.tau2, schedule.tau3]
+    judged = list(_as_taus(schedule))
     report = {"solver": judged, "oracle": None, "tolerance": tol}
     labels = [lab for *_, lab in dp.switch_times]
     think = [(a, b) for a, b, lab in dp.switch_times if lab == ACTION_THINK]
@@ -315,8 +315,8 @@ def agreement(schedule, dp: DPSolution) -> dict:
                 "reason": f"the oracle's path {labels} has no tau form"}
     (a, b), = think or [(0.0, 0.0)]  # a path that never thinks: (0, 0, T)
     report["oracle"] = oracle = [a, b - a, dp.grid.horizon - b]
-    if not think and 0.0 < schedule.tau2 < dt:
-        judged = report["judged_as_do_only"] = [0.0, 0.0, schedule.total]
+    if not think and 0.0 < judged[1] < dt:
+        judged = report["judged_as_do_only"] = [0.0, 0.0, sum(judged)]
     off = [f"tau{i} ({abs(o - s):.6g})" for i, (o, s) in
            enumerate(zip(oracle, judged), 1) if not abs(o - s) <= tol]
     report["pass"] = not off
@@ -331,30 +331,20 @@ def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
     Outside the validated model class the fine-grained policy can chatter
     along a nearly indifferent stretch (the optimal control there is
     interior, and a two-action grid approximates it by alternating).  This
-    view splits the horizon into windows, labels each by the action that
-    occupies most of it, and merges adjacent windows, turning chatter into
-    its time-averaged block structure.
+    view splits the horizon into windows (the last may be partial), labels
+    each THINK when thinking fills at least half of it and DO otherwise,
+    and merges adjacent windows, turning chatter into its time-averaged
+    block structure.
     """
     N, dt = dp.grid.n_steps, dp.grid.dt
-    if N == 0:
-        return ()
-    w = max(1, int(round(window / dt)))
-    think_idx = dp.action_names.index(ACTION_THINK)
-    is_think = (dp.path_actions == think_idx)
-    labels = []
-    starts = list(range(0, N, w))
-    for s in starts:
-        frac = float(np.mean(is_think[s:s + w]))
-        labels.append(ACTION_THINK if frac >= 0.5 else ACTION_DO)
-    intervals = []
-    begin = 0.0
-    for i in range(1, len(labels)):
-        if labels[i] != labels[i - 1]:
-            t = starts[i] * dt
-            intervals.append((begin, t, labels[i - 1]))
-            begin = t
-    intervals.append((begin, N * dt, labels[-1]))
-    return tuple(intervals)
+    starts = np.arange(0, N, max(1, int(round(window / dt))))
+    is_think = dp.path_actions == dp.action_names.index(ACTION_THINK)
+    share = np.add.reduceat(is_think, starts, dtype=np.int64) / np.diff(
+        np.r_[starts, N])
+    j, runs = _runs(share >= 0.5)
+    bounds = [0.0, *(starts[j] * dt).tolist(), N * dt]
+    labels = [ACTION_THINK if r else ACTION_DO for r in runs.tolist()]
+    return tuple(zip(bounds[:-1], bounds[1:], labels))
 
 
 def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
@@ -390,7 +380,7 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
     path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows)
     while True:
         gaps, ties = _gaps_along_path(N, extras, path_m, coef, checkpoints, S)
-        j = np.flatnonzero(np.diff(path_actions)) + 1
+        j, _ = _runs(path_actions)
         if not np.any(ties[j] >> path_actions[j - 1] & 1):
             break
         path_actions, walked = _walk_no_arrival_path(N, actions, policy_rows,

@@ -163,6 +163,15 @@ def _as_taus(schedule) -> tuple:
     return tuple(max(t, 0.0) for t in taus)
 
 
+def _runs(labels: np.ndarray) -> tuple:
+    """Run-length view of a label array, one label per sample or cell: where
+    each run after the first starts, and the label of every run (none for
+    an empty array).  The DP path, its majority view and a preference's
+    sign pattern each put their own boundary at these starts."""
+    starts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    return starts, np.r_[labels[:1], labels[starts]]
+
+
 # ---------------------------------------------------------------------------
 # value-of-progress family
 # ---------------------------------------------------------------------------

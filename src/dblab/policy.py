@@ -25,6 +25,7 @@ from .model import (
     _checked_ops,
     _growth_ratio,
     _ops,
+    _runs,
     doing_time_to_reach,
     posterior,
     progress_value_array,
@@ -367,26 +368,17 @@ def switching_profile(params: ModelParams, model: ProgressModel,
 
 
 def _sign_intervals(grid: np.ndarray, y: np.ndarray) -> tuple:
-    """Partition [grid[0], grid[-1]] into think-/do-favored intervals with
-    boundaries at interpolated zero crossings."""
+    """Partition [grid[0], grid[-1]] into think-/do-favored intervals, a
+    cell labelled by the sign of its endpoints' sum, with boundaries at
+    interpolated zero crossings: in the cell before the label change when
+    y changes sign there, else in the cell after it."""
     if len(grid) < 2:
         return ((float(grid[0]), float(grid[-1]), "do-favored"),)
-    labels = []
-    bounds = [float(grid[0])]
-    mid_lab = lambda ya, yb: "think-favored" if ya + yb > 0.0 else "do-favored"
-    cur = mid_lab(y[0], y[1])
-    for i in range(1, len(grid) - 1):
-        nxt = mid_lab(y[i], y[i + 1])
-        if nxt != cur:
-            # zero crossing inside the cell that changed sign
-            if y[i - 1] * y[i] < 0.0:
-                lo, hi, ya, yb = grid[i - 1], grid[i], y[i - 1], y[i]
-            else:
-                lo, hi, ya, yb = grid[i], grid[i + 1], y[i], y[i + 1]
-            cross = lo + (hi - lo) * (ya / (ya - yb)) if ya != yb else lo
-            bounds.append(float(cross))
-            labels.append(cur)
-            cur = nxt
-    bounds.append(float(grid[-1]))
-    labels.append(cur)
-    return tuple((bounds[i], bounds[i + 1], labels[i]) for i in range(len(labels)))
+    i, runs = _runs(y[:-1] + y[1:] > 0.0)
+    lo = np.where(y[i - 1] * y[i] < 0.0, i - 1, i)
+    ya, yb, a, b = y[lo], y[lo + 1], grid[lo], grid[lo + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(ya != yb, a + (b - a) * (ya / (ya - yb)), a)
+    bounds = [float(grid[0]), *cross.tolist(), float(grid[-1])]
+    labels = ["think-favored" if r else "do-favored" for r in runs.tolist()]
+    return tuple(zip(bounds[:-1], bounds[1:], labels))

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -236,6 +237,34 @@ def test_verify_solves_with_the_solver_block(config_path, tmp_path, capsys):
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["pass"] is False
     assert report["solver"] == pytest.approx([0.0, 0.7125, 1.1875], abs=1e-9)
+
+
+def test_verify_failure_names_the_judges_reason(config_path, tmp_path,
+                                                capsys):
+    # stderr carries the same reason that verify.json holds
+    bad = config_path(solver={"tau_tol": 0.05})
+    rc = main(["verify", "--config", str(bad), "--out", str(tmp_path),
+               "--dt", "1e-3"])
+    assert rc == 3
+    reason = json.loads((tmp_path / "verify.json").read_text())["reason"]
+    assert reason.startswith("|solver - oracle| > 0.005 at tau2")
+    assert capsys.readouterr().err == (
+        f"solver failure: oracle disagrees with closed-form schedule: "
+        f"{reason}\n")
+
+
+def test_verify_no_feedback_failure_names_the_check(config_path, tmp_path,
+                                                    capsys, monkeypatch):
+    # a path that returns to doing after thinking fails the structural check
+    path = (0.0, 1.0, "THINK"), (1.0, 1.9, "DO")
+    monkeypatch.setattr(dblab.cli, "dp_no_feedback",
+                        lambda *_: SimpleNamespace(switch_times=path))
+    rc = main(["verify", "--config",
+               str(config_path(oracle={"kind": "no_feedback"})),
+               "--out", str(tmp_path), "--dt", "2e-3"])
+    assert rc == 3
+    assert capsys.readouterr().err.endswith(
+        "its path fails 'no return to doing after thinking'\n")
 
 
 def test_sweep_solves_with_the_solver_block(config_path, tmp_path):

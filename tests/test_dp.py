@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,6 +237,17 @@ def test_agreement_fails_a_path_without_a_tau_form(judged_run, path):
     assert "no tau form" in report["reason"]
 
 
+def test_agreement_takes_a_plain_tuple(judged_run):
+    sched, dp = judged_run
+    taus = (sched.tau1, sched.tau2, sched.tau3)
+    assert agreement(taus, dp) == agreement(sched, dp)
+    do_only = dataclasses.replace(dp, switch_times=((0.0, 2.0, ACTION_DO),))
+    sub_step = (1.0, 0.5 * _DT, 1.0 - 0.5 * _DT)
+    report = agreement(sub_step, do_only)
+    assert report == _judge(judged_run, sub_step, do_only.switch_times)
+    assert report["judged_as_do_only"] == [0.0, 0.0, 2.0]
+
+
 def test_agreement_tolerance_is_inclusive(judged_run):
     path = ((0.0, 0.75, ACTION_THINK), (0.75, 2.0, ACTION_DO))
     tol = 5.0 * _DT
@@ -377,6 +389,24 @@ def test_unvalidated_model_shows_second_thinking_block():
                     keep_values=False)
     blocks = [lab for _, _, lab in majority_intervals(dp, window=0.2)]
     assert blocks == [ACTION_THINK, ACTION_DO, ACTION_THINK, ACTION_DO]
+
+
+# a chattering path for the majority view: THINK is action 1, and 11 steps
+# of 0.01 leave a partial last window of 2 steps at w = 3
+_CHATTER = SimpleNamespace(
+    grid=Grid(0.01, 11), action_names=(ACTION_DO, ACTION_THINK),
+    path_actions=np.array([1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1], dtype=np.int8))
+
+
+@pytest.mark.parametrize("window, want", [
+    # the partial window is half THINK, so THINK by its own length
+    (0.03, ((0.0, 0.03, ACTION_THINK), (0.03, 0.09, ACTION_DO),
+            (0.09, 0.11, ACTION_THINK))),
+    # one window past the horizon: 5 of 11 steps think
+    (0.5, ((0.0, 0.11, ACTION_DO),)),
+], ids=["partial_last_window", "window_past_horizon"])
+def test_majority_intervals_edge_windows(window, want):
+    assert majority_intervals(_CHATTER, window=window) == want
 
 
 # ---------------------------------------------------------------------------

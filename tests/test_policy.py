@@ -38,6 +38,7 @@ from dblab import (
     switching_profile,
     thinking_span,
 )
+from dblab.policy import _sign_intervals
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +429,29 @@ def test_switching_profile_do_think_do(base_params, safe_arm):
     # intervals chain into a partition of [0, T]
     for (_, hi, _), (lo, _, _) in zip(prof.sign_pattern, prof.sign_pattern[1:]):
         assert hi == lo
+
+
+# edge cases of the sign pattern: one point, zeros on the grid and ties
+_G = np.array([0.0, 0.5, 1.5, 2.0])
+_THINK_DO = ((0.0, 0.5, "think-favored"), (0.5, 2.0, "do-favored"))
+
+
+@pytest.mark.parametrize("grid, y, want", [
+    (np.array([0.3]), np.array([-1.0]), ((0.3, 0.3, "do-favored"),)),
+    # y is exactly 0 at the grid point where the label changes
+    (_G, np.array([1.0, 0.0, -1.0, -2.0]), _THINK_DO),
+    (_G, np.array([-1.0, 0.0, 3.0, 1.0]),
+     ((0.0, 0.5, "do-favored"), (0.5, 2.0, "think-favored"))),
+    # equal neighbours in the crossing cell: the boundary is its start;
+    # the product 2e-200 * -1e-200 underflows, so no sign change is seen
+    (_G, np.array([1.0, 0.0, 0.0, -1.0]), _THINK_DO),
+    (_G, np.array([2e-200, -1e-200, -1e-200, -1.0]), _THINK_DO),
+], ids=["one_point", "zero_at_point", "zero_then_up", "zero_tie",
+        "underflow_tie"])
+def test_sign_intervals_edge_cases(grid, y, want):
+    got = _sign_intervals(grid, y)
+    assert got == want
+    assert all(type(b) is float for lo, hi, _ in got for b in (lo, hi))
 
 
 def test_switching_profile_concavity_certificate(base_params, safe_arm):
