@@ -25,6 +25,8 @@ from .dp import CoarseGridError, Grid, agreement, dp_no_feedback, \
 from .model import (
     ModelParams,
     ModelValidationError,
+    _number,
+    _require,
     progress_model_from_dict,
 )
 from .nofeedback import NoFeedbackModel
@@ -42,12 +44,6 @@ from .solver import SolverError, belief_thresholds, solve, \
     solve_infinite_horizon
 
 _AGENT_KEYS = {"p_bar", "lambda", "mu", "c", "B", "T"}
-# the known keys of the optional blocks; True marks a number, checked when
-# the config is read
-_BLOCK_KEYS = {"solver": {"tau_tol": True},
-               "oracle": {"kind": False, "dt": True, "nu": True},
-               "sim": {"reps": True, "seed": True, "nu": True},
-               "sweep": {"variable": False, "grid": False, "nu": True}}
 
 
 class _WriteFailure(Exception):
@@ -105,8 +101,9 @@ class RunConfig:
             for key in block:
                 if key not in _BLOCK_KEYS[name]:
                     raise ValueError(f"unknown config key {name}.{key}")
-                if _BLOCK_KEYS[name][key]:
-                    _number(f"{name}.{key}", block[key])
+                read = _BLOCK_KEYS[name][key]
+                if read is not None:
+                    block[key] = read(f"{name}.{key}", block[key])
         return cls(params=params, model_spec=model_spec, **blocks)
 
     @classmethod
@@ -127,29 +124,40 @@ def _block(data: dict, name: str) -> dict:
     return dict(block)
 
 
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelValidationError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _count(key: str, value) -> int:
+    """A whole number read from the config; 1e6 reads as 1000000."""
+    number = _number(key, value)
+    _require(number.is_integer(),
+             f"{key} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _parse_grid(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_number(f"grid {text!r}", float(p)) for p in parts)
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     values = np.arange(start, stop + 0.5 * step, step)
     return [float(v) for v in values if v <= stop + 1e-12]
 
 
-def _grid_from_config(spec) -> list:
+def _grid(key: str, spec) -> list:
+    """The values of a config's sweep grid: a list, or start:stop:step."""
     if isinstance(spec, str):
         return _parse_grid(spec)
     if isinstance(spec, (list, tuple)):
-        return [_number("sweep.grid", v) for v in spec]
+        return [_number(f"{key}[{i}]", v) for i, v in enumerate(spec)]
     raise ValueError(f"unusable grid spec: {spec!r}")
+
+
+# the known keys of the optional blocks, each with the reader that turns
+# its value into a number when the config is read (None: not a number)
+_BLOCK_KEYS = {"solver": {"tau_tol": _number},
+               "oracle": {"kind": None, "dt": _number, "nu": _number},
+               "sim": {"reps": _count, "seed": _count, "nu": _number},
+               "sweep": {"variable": None, "grid": _grid, "nu": _number}}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -210,7 +218,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    dt = float(args.dt if args.dt is not None else cfg.oracle.get("dt", 1e-3))
+    dt = (_number("--dt", args.dt) if args.dt is not None
+          else cfg.oracle.get("dt", 1e-3))
     kind = cfg.oracle.get("kind", "reduced")
     model = cfg.build_model()
     grid = Grid.from_horizon(cfg.params.T, dt)
@@ -222,8 +231,7 @@ def cmd_verify(args) -> int:
         nu = conversion_rate(model, cfg.oracle.get("nu"))
         nf = NoFeedbackModel(mu=cfg.params.mu, nu=nu, B=cfg.params.B,
                              c=cfg.params.c, p_bar=cfg.params.p_bar,
-                             lam=cfg.params.lam,
-                             limit_mode=(cfg.params.mu == nu))
+                             lam=cfg.params.lam)
         dp = dp_no_feedback(nf, cfg.params.T, grid)
     else:
         raise ValueError(f"unknown oracle kind {kind!r}")
@@ -256,10 +264,10 @@ def cmd_sweep(args) -> int:
     variable = args.variable or cfg.sweep.get("variable")
     if variable is None:
         raise ValueError("no sweep variable: use --variable or the config")
-    grid_spec = args.grid if args.grid is not None else cfg.sweep.get("grid")
-    if grid_spec is None:
+    values = (_parse_grid(args.grid) if args.grid is not None
+              else cfg.sweep.get("grid"))
+    if values is None:
         raise ValueError("no sweep grid: use --grid or the config")
-    values = _grid_from_config(grid_spec)
     rows = sweep(cfg.params, model, variable, values, nu=cfg.sweep.get("nu"),
                  **cfg.solver)
     out = _out_dir(args) / "sweep.csv"
@@ -274,10 +282,11 @@ def cmd_simulate(args) -> int:
     cfg = RunConfig.from_file(args.config)
     model, sched = _solve_from_config(cfg)
     nu = conversion_rate(model, cfg.sim.get("nu"))
-    reps = int(args.reps if args.reps is not None
-               else cfg.sim.get("reps", 100_000))
-    seed = int(args.seed if args.seed is not None else cfg.sim.get("seed", 0))
-    result = simulate(sched, cfg.params, nu, SimConfig(reps=reps, seed=seed))
+    # a flag wins over the config; SimConfig holds the defaults
+    counts = {key: cfg.sim[key] for key in ("reps", "seed") if key in cfg.sim}
+    counts.update((key, getattr(args, key)) for key in ("reps", "seed")
+                  if getattr(args, key) is not None)
+    result = simulate(sched, cfg.params, nu, SimConfig(**counts))
     out = _out_dir(args) / "simulate.csv"
     row = {"estimate": result.success_rate, "std_err": result.success_se,
            "reps": result.reps, "seed": result.seed}

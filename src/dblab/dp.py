@@ -69,8 +69,8 @@ class Grid:
     action_set: tuple = (ACTION_DO, ACTION_THINK)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps}")
         object.__setattr__(self, "action_set",
@@ -79,7 +79,9 @@ class Grid:
     @classmethod
     def from_horizon(cls, T: float, dt: float,
                      action_set: Sequence = (ACTION_DO, ACTION_THINK)) -> "Grid":
-        n = int(round(T / dt)) if T > 0.0 else 0
+        # a dt that is not positive (NaN too) leaves no steps, for the
+        # constructor to refuse by name
+        n = int(round(T / dt)) if T > 0.0 and dt > 0.0 else 0
         return cls(dt, n, tuple(action_set))
 
     @property

@@ -30,6 +30,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ModelValidationError(msg)
 
 
+def _number(key: str, value) -> float:
+    """A number read from outside the program (a config or a model spec)
+    as a float.  A bool, a non-number and a value past the range of
+    doubles (NaN and infinity too) are refused, naming ``key``."""
+    # bool is an int, but JSON true/false is not a number
+    _require(not isinstance(value, bool) and isinstance(value, (int, float)),
+             f"{key} must be a number, got {value!r}")
+    _require(-sys.float_info.max <= value <= sys.float_info.max,
+             f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # agent primitives
 # ---------------------------------------------------------------------------
@@ -423,8 +435,10 @@ class Tabulated(ProgressModel):
         return float(self.values[-1])
 
 
-_FAMILIES = {cls.__name__: cls for cls in (SafeArm, RiskyArm, TimeVarying,
-                                            PayoffStream, Tabulated)}
+# the public families: every class above that a model spec can name
+_FAMILIES = {cls.__name__: cls for base in (ProgressModel, _Arm)
+             for cls in base.__subclasses__()
+             if not cls.__name__.startswith("_")}
 
 
 def progress_model_from_dict(spec: dict) -> ProgressModel:
@@ -439,19 +453,17 @@ def progress_model_from_dict(spec: dict) -> ProgressModel:
             f"unknown progress-model family {name!r}; "
             f"expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[name]
-    entries = kwargs.items()
     if name == "Tabulated":
         for key in ("taus", "values"):
             if not isinstance(kwargs.get(key), (list, tuple)):
                 raise ModelValidationError(
                     f"Tabulated needs a list {key!r}, got {kwargs.get(key)!r}")
-        kwargs = {"taus": tuple(kwargs["taus"]), "values": tuple(kwargs["values"])}
-        entries = [(f"{key}[{i}]", val)
-                   for key, seq in kwargs.items() for i, val in enumerate(seq)]
-    for key, val in entries:
-        # bool is an int, but JSON true/false is not a number
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ModelValidationError(f"{name}.{key} must be a number, got {val!r}")
+        kwargs = {key: tuple(_number(f"{name}.{key}[{i}]", val)
+                             for i, val in enumerate(kwargs[key]))
+                  for key in ("taus", "values")}
+    else:
+        kwargs = {key: _number(f"{name}.{key}", val)
+                  for key, val in kwargs.items()}
     try:
         return cls(**kwargs)
     except TypeError as exc:

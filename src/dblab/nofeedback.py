@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import _checked_ops, _exp_gap, _require
+from .model import ModelParams, _checked_ops, _exp_gap, _number, _require
 
 
 @dataclass(frozen=True)
 class NoFeedbackModel:
     """Primitives for the unobserved-progress variant.
 
-    At equal stage rates the race is a gamma arrival, which every formula
-    below covers exactly.  ``limit_mode`` must still be set to allow that
-    case: it declares equal rates explicitly, and is slated for removal.
+    The agent primitives obey :class:`ModelParams`' rules, and ``nu`` must
+    be positive and finite.  At equal stage rates the race is a gamma
+    arrival, which every formula below covers exactly.  ``limit_mode`` is
+    accepted and ignored: older callers pass it to declare equal rates.
     """
 
     mu: float
@@ -32,17 +33,9 @@ class NoFeedbackModel:
     limit_mode: bool = False
 
     def __post_init__(self) -> None:
-        _require(self.mu > 0.0, f"mu must be positive, got {self.mu}")
-        _require(self.nu > 0.0, f"nu must be positive, got {self.nu}")
-        _require(self.B > 0.0, f"B must be positive, got {self.B}")
-        _require(self.c >= 0.0, f"c must be nonnegative, got {self.c}")
-        _require(0.0 < self.p_bar < 1.0,
-                 f"p_bar must lie in (0, 1), got {self.p_bar}")
-        _require(self.lam > 0.0, f"lam must be positive, got {self.lam}")
-        if self.mu == self.nu and not self.limit_mode:
-            raise ValueError(
-                "equal stage rates require limit_mode=True, which declares "
-                "the gamma-arrival case explicitly")
+        ModelParams(self.p_bar, self.lam, self.mu, self.c, self.B, 0.0)
+        _require(_number("nu", self.nu) > 0.0,
+                 f"nu must be positive, got {self.nu}")
 
 
 # mu * _exp_gap(mu, nu, a) is the chance that progress has arrived by

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelParams, ModelValidationError, ProgressModel,
-                    _as_taus, _exp_gap)
+                    _as_taus, _exp_gap, _require)
 from .solver import SolverError, solve
 
 
@@ -41,8 +41,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.reps <= 0:
-            raise ValueError(f"reps must be positive, got {self.reps}")
+        for name, low in (("reps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # a bool is an int, but not a count
+            _require(type(value) is int and value >= low,
+                     f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ def conversion_rate(model: ProgressModel = None, nu: float = None) -> float:
     """Resolve the progress-to-solution conversion rate: explicit argument
     wins, otherwise taken off the progress model."""
     if nu is not None:
-        if nu <= 0.0:
-            raise ValueError(f"conversion rate must be positive, got {nu}")
+        if not 0.0 < nu < math.inf:
+            raise ValueError(f"conversion rate must be in (0, inf), got {nu}")
         return float(nu)
     rate = getattr(model, "nu", None)
     if rate is None:

@@ -66,10 +66,6 @@ class PolicySchedule:
     terminal_belief: float
     no_shirk_ok: bool = True
 
-    @property
-    def total(self) -> float:
-        return self.tau1 + self.tau2 + self.tau3
-
 
 @dataclass(frozen=True)
 class Thresholds:

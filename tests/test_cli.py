@@ -128,6 +128,21 @@ def test_invalid_agent_exits_2(config_path, tmp_path, capsys):
     ("agent_missing", "missing agent keys", {
         "agent": {k: v for k, v in BASE_CONFIG["agent"].items() if k != "T"},
         "model": BASE_CONFIG["model"]}),
+    ("oracle_inf", "oracle.nu must be finite", {**BASE_CONFIG, "oracle": {
+        "kind": "no_feedback", "nu": math.inf}}),
+    ("sim_reps_inf", "sim.reps must be finite", {**BASE_CONFIG,
+                                                 "sim": {"reps": math.inf}}),
+    ("sweep_nan", "sweep.nu must be finite", {**BASE_CONFIG,
+                                              "sweep": {"nu": math.nan}}),
+    ("sweep_grid_nan", "sweep.grid[1]", {**BASE_CONFIG, "sweep": {
+        "grid": [1.0, math.nan]}}),
+    ("sim_reps_fraction", "sim.reps must be a whole number", {
+        **BASE_CONFIG, "sim": {"reps": 2.5}}),
+    ("model_inf", "SafeArm.B_nu must be finite", {**BASE_CONFIG, "model": {
+        **BASE_CONFIG["model"], "B_nu": math.inf}}),
+    ("tabulated_nan", "Tabulated.values[4]", {**BASE_CONFIG, "model": {
+        "family": "Tabulated", "taus": [0, 1, 2, 3, 4],
+        "values": [0.0, 1.0, 1.5, 1.75, math.nan]}}),
 ])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, name, key,
                                                  config):
@@ -503,6 +518,43 @@ def test_simulate_csv_deterministic(config_path, tmp_path):
     est, se, reps, seed = lines[1].split(",")
     assert reps == "50000" and seed == "9"
     assert abs(float(est) - 0.6197) <= 4.0 * float(se)
+
+
+def test_simulate_reads_reps_and_seed_from_the_config(config_path,
+                                                      tmp_path):
+    # 5e4 is a whole number: it reads as 50000, as the flag would
+    args = ["simulate", "--out", str(tmp_path), "--config"]
+    assert main(args + [str(config_path()), "--reps", "50000",
+                        "--seed", "9"]) == 0
+    flags = (tmp_path / "simulate.csv").read_bytes()
+    assert main(args + [str(config_path(sim={"reps": 5e4, "seed": 9}))]) == 0
+    assert (tmp_path / "simulate.csv").read_bytes() == flags
+    # a flag wins over the config
+    assert main(args + [str(config_path(sim={"reps": 7, "seed": 1})),
+                        "--reps", "50000", "--seed", "9"]) == 0
+    assert (tmp_path / "simulate.csv").read_bytes() == flags
+
+
+def test_simulate_refuses_a_negative_seed_by_name(config_path, tmp_path,
+                                                   capsys):
+    rc = main(["simulate", "--config", str(config_path()),
+               "--out", str(tmp_path), "--reps", "10", "--seed", "-1"])
+    assert rc == 2
+    assert "seed must be an int >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle, flags, key", [
+    ({"kind": "no_feedback", "nu": math.inf}, [], "oracle.nu"),
+    ({}, ["--dt", "nan"], "--dt must be finite"),
+])
+def test_verify_refuses_a_non_finite_number(config_path, tmp_path, capsys,
+                                            oracle, flags, key):
+    path = config_path(agent={"T": 6.0}, oracle=oracle)
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path)]
+              + flags)
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_trajectory_csv_contract(config_path, tmp_path):

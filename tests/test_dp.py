@@ -63,6 +63,11 @@ def test_grid_validation():
         Grid(1e-3, 10, (ACTION_DO, ACTION_THINK, 1.5))
     with pytest.raises(ValueError):
         Grid(1e-3, 10, (ACTION_DO, ACTION_THINK, "NAP"))
+    for dt in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            Grid(dt, 10)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            Grid.from_horizon(1.9, dt)
 
 
 def test_run_guards(base_params, safe_arm):
@@ -368,9 +373,12 @@ def test_no_feedback_refuses_a_grid_that_does_not_span_the_horizon():
     assert spans.grid.horizon == pytest.approx(1.0)
 
 
-def test_no_feedback_equal_rates_guard():
-    with pytest.raises(ValueError):
-        NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
+def test_no_feedback_equal_rates_need_no_flag():
+    # mu == nu builds as it is, and its oracle run is the golden of the
+    # run that passes limit_mode=True
+    nf = NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
+    want = json.loads((GOLDEN_DIR / "no_feedback_limit.json").read_text())
+    assert _fingerprint(dp_no_feedback(nf, 6.0)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ The oracle is a direct Monte Carlo of the two-stage exponential race
 identity linking the density, the hazard decomposition, and the CDF.
 """
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -25,14 +26,15 @@ NF = NoFeedbackModel(mu=1.0, nu=0.5, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
 
 def test_model_guards():
     with pytest.raises(ValueError):
-        NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
-    ok = NoFeedbackModel(mu=1.0, nu=1.0, B=5.0, c=0.5, p_bar=0.75, lam=0.75,
-                         limit_mode=True)
-    assert ok.limit_mode
-    with pytest.raises(ValueError):
         NoFeedbackModel(mu=-1.0, nu=0.5, B=5.0, c=0.5, p_bar=0.75, lam=0.75)
     with pytest.raises(ValueError):
         no_solution_prob(NF, -0.5)
+
+
+@pytest.mark.parametrize("key", ["mu", "nu", "B", "lam"])
+def test_model_refuses_an_infinite_primitive(key):
+    with pytest.raises(ValueError, match=f"{key} must be .*finite"):
+        dataclasses.replace(NF, **{key: math.inf})
 
 
 def test_solution_cdf_anchors():

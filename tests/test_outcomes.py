@@ -308,6 +308,17 @@ def test_conversion_rate_resolution(safe_arm):
         conversion_rate(None, None)
     with pytest.raises(ValueError):
         conversion_rate(safe_arm, -1.0)
+    for nu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must be in \(0, inf\)"):
+            conversion_rate(safe_arm, nu)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reps", 2.5), ("reps", 1e3), ("reps", True), ("reps", 0),
+    ("seed", 1.0), ("seed", False), ("seed", -1)])
+def test_sim_config_refuses_a_count_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int >= "):
+        SimConfig(**{field: value})
 
 
 def test_sweep_over_horizon(base_params, safe_arm):

@@ -36,7 +36,8 @@ from dblab import solver as solver_module
 
 
 def _check_schedule_consistency(params, model, sched):
-    assert sched.total == pytest.approx(params.T, abs=1e-8)
+    assert sched.tau1 + sched.tau2 + sched.tau3 == pytest.approx(
+        params.T, abs=1e-8)
     assert sched.q_at_switch == pytest.approx(
         hail_mary_belief(params, model, sched.tau3), abs=1e-8)
     assert sched.terminal_belief == pytest.approx(
