@@ -13,6 +13,7 @@ state space is exact; no belief grid is involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,6 +37,8 @@ ACTION_THINK = "THINK"
 ACTION_IDLE = "IDLE"
 
 _TIE_TOL = 1e-12
+# rows the backward pass advances at one width (see `_assemble`)
+_BLOCK = 32
 # what one oracle run may keep: its policy and (kept) value rows, the
 # path's tie masks and the checkpoint rows of its gap pass
 _BYTE_BUDGET = 1 << 30
@@ -95,7 +98,7 @@ class DPSolution:
 
     ``value_rows[k][m]`` is the optimal continuation value with k steps
     remaining after m unrewarded doing steps (``None`` unless kept; each
-    kept row is the array the recursion wrote it into, N - k + 1 long);
+    kept row is an array of its own, N - k + 1 long);
     ``policy_rows`` mirrors it with action indices into ``action_names``;
     ``tie_rows[j]`` is the bitmask of the actions within tolerance of the
     best at the j-th no-arrival path state (N - j, ``path_m[j]``).
@@ -153,58 +156,63 @@ def _check_grid(grid: Grid, keep_values: bool) -> None:
 # shared backward recursion over the (k, m) triangle
 # ---------------------------------------------------------------------------
 
-def _row_step(w_th: np.ndarray, w_do: np.ndarray, coef: tuple, extras: tuple,
-              q: np.ndarray, row: np.ndarray,
-              policy: bool = False) -> Optional[np.ndarray]:
-    """One row of the backward recursion, the step both passes share.  From
+def _row_step(w_th: np.ndarray, w_do: np.ndarray, do: Sequence,
+              th: Sequence, extras: tuple, q: Sequence, row: np.ndarray,
+              policy: Optional[tuple] = None) -> None:
+    """One row of the backward recursion, the step every pass shares.  From
     the previous value row read at m (``w_th``) and m + 1 (``w_do``), a row
     or a stack of windows, ``q[i]`` gets Q of the i-th action (the last
-    slot is scratch) and ``row`` their maximum; with ``policy``, it returns
-    the first action that attains it (``argmax``'s rule) as int8.  ``coef =
-    (a_do, b_do, a_th, b_th)`` makes DO's Q affine in the value at m + 1
-    and THINK's in the value at m; after them come the ``extras``, (index,
-    mix) pairs: IDLE (mix None) keeps the value at m, a mix randomizes."""
-    a_do, b_do, a_th, b_th = coef
-    q_do, q_th = q[0], q[1]
+    slot is scratch) and ``row`` their maximum.  DO's Q is ``a + b * w_do``
+    for ``do = (a, b)``, THINK's the same in ``w_th`` by ``th``; after them
+    come the ``extras``, (index, mix) pairs: IDLE (mix None) keeps the
+    value at m (its slot stays unwritten), a mix randomizes.  With
+    ``policy = (best, mask)`` (bool, ``mask`` scratch) ``best``, read as
+    int8, gets the first action that attains the row value (``argmax``'s
+    rule)."""
+    (a_do, b_do), (a_th, b_th), q_do, q_th = do, th, q[0], q[1]
     np.multiply(b_do, w_do, out=q_do)
     np.add(q_do, a_do, out=q_do)
     np.multiply(b_th, w_th, out=q_th)
     np.add(q_th, a_th, out=q_th)
     np.maximum(q_do, q_th, out=row)
-    best = np.less(q_do, q_th).view(np.int8) if policy else None
+    if policy:
+        best, mask = policy
+        np.less(q_do, q_th, out=best)
     for i, mix in extras:
-        qi = q[i]
-        if mix is None:
-            np.copyto(qi, w_th)
-        else:
+        qi = w_th
+        if mix is not None:
+            qi = q[i]
             np.multiply(mix, q_do, out=qi)
             np.multiply(1.0 - mix, q_th, out=q[-1])
             np.add(qi, q[-1], out=qi)
         if policy:
-            np.copyto(best, i, where=row < qi)
+            np.less(row, qi, out=mask)
+            np.putmask(best.view(np.int8), mask, i)
         np.maximum(row, qi, out=row)
-    return best
 
 
-def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
+def _walk_no_arrival_path(N: int, actions: tuple, policy: np.ndarray,
                           known_m: Optional[np.ndarray] = None,
                           ties: Optional[np.ndarray] = None):
     """Forward walk assuming nothing ever arrives, resolving near-ties to
-    the incumbent action to suppress one-step flips.  The tie masks
-    ``ties[j]`` hold at the states (N - j, ``known_m[j]``) of an earlier
-    walk; elsewhere the walk follows the policy alone.  The walk is a
-    scalar loop, so it reads and writes the arrays through memoryviews,
-    which trade in Python ints instead of numpy scalars."""
+    the incumbent action to suppress one-step flips, on the policy rows
+    k = 1..N stored back to back.  The tie masks ``ties[j]`` hold at the
+    states (N - j, ``known_m[j]``) of an earlier walk; elsewhere the walk
+    follows the policy alone.  The walk is a scalar loop, so it reads and
+    writes the arrays through memoryviews, which trade in Python ints
+    instead of numpy scalars."""
     does = [a == ACTION_DO for a in actions]
     path_actions = np.zeros(N, dtype=np.int8)
     path_m = np.zeros(N, dtype=np.int64)
-    acts, ms = memoryview(path_actions), memoryview(path_m)
+    acts, ms, pol = map(memoryview, (path_actions, path_m, policy))
     if known_m is not None:
         known_m, ties = memoryview(known_m), memoryview(ties)
     m = 0
     incumbent = -1
+    start = (N - 1) * (N + 2) // 2  # row N: rows 1..N-1 are N..2 long
     for j in range(N):
-        a = policy_rows[N - j].item(m)
+        a = pol[start + m]
+        start -= j + 2  # row N - j - 1 is j + 2 long
         if (a != incumbent and incumbent >= 0 and known_m is not None
                 and known_m[j] == m and ties[j] >> incumbent & 1):
             a = incumbent
@@ -216,7 +224,7 @@ def _walk_no_arrival_path(N: int, actions: tuple, policy_rows,
     return path_actions, path_m
 
 
-def _gaps_along_path(N: int, extras: tuple, path_m: np.ndarray, coef,
+def _gaps_along_path(N: int, extras: tuple, path_m: np.ndarray, coef: tuple,
                      checkpoints: list, S: int) -> tuple:
     """Q_think - Q_do and the tie mask (the bits of the actions within
     ``_TIE_TOL`` of the best) at every path state, rebuilt from the value
@@ -224,41 +232,49 @@ def _gaps_along_path(N: int, extras: tuple, path_m: np.ndarray, coef,
 
     Segment s rebuilds rows c+1..c+S from checkpoint row c = s*S, but only
     on the window of m that its path states depend on: the path's m range
-    over the segment plus S + 1.  All segments advance together as one 2-D
-    array, so the pass takes S vectorized steps.  Every path state reads
-    the same operands as in the first pass, so its gap is bit-identical;
-    cells outside the triangle read clipped coefficients and are never
-    read by a cell inside it."""
+    over the segment plus S + 1.  All segments advance together as the
+    columns of one 2-D array (m down the rows, so a step's operands are
+    contiguous) in S vectorized steps, on coefficients gathered once (a
+    step's THINK rows are the last step's shifted by one).  Every path
+    state reads the same operands as in the first pass, so its gap is
+    bit-identical; cells outside the triangle read clipped coefficients
+    and are never read by a cell inside it."""
     gaps, ties = np.zeros(N), np.zeros(N, dtype=np.uint8)
     if N == 0:
         return gaps, ties
+    a_do, b_do, a_th, b_th, along = coef
     c = np.arange(0, N, S)  # each segment's checkpoint row
     # m never falls along the path (j = N - k), so a segment's path states
     # span m from lo, at its last row, to hi, at its first row c + 1
     lo = path_m[N - np.minimum(c + S, N)]
     hi = path_m[N - 1 - c]
     w = int((hi - lo).max()) + S + 1
-    V = np.zeros((c.size, w))
+    V = np.zeros((w, c.size))
     for s, row in enumerate(checkpoints):
         part = row[lo[s]:lo[s] + w]
-        V[s, :part.size] = part
+        V[:part.size, s] = part
     nxt, segments = np.empty_like(V), np.arange(c.size)
-    m = lo[:, None] + np.arange(w)
-    # step t (from 0) rebuilds row c + t + 1 of each segment (k clipped to
-    # N: the last segment may be partial), with path state j = N - c - t - 1
-    steps = np.arange(1, S + 1)[:, None]
-    k, j = np.minimum(c + steps, N)[:, :, None], N - c - steps
+    m = np.minimum(lo + np.arange(w)[:, None], N)
+    do = np.stack((a_do[m], b_do[m]))
+    # step t (from 0) rebuilds row k = c + t + 1 of each segment (past N
+    # when the last segment is partial), with path state j = N - k
+    th = np.minimum(c + 1 + along * lo + np.arange(S + along * w)[:, None],
+                    a_th.size - 1)
+    th = np.stack((a_th[th], b_th[th]))
+    j = N - c - np.arange(1, S + 1)[:, None]
     live = j >= 0
     at = np.where(live, path_m[np.maximum(j, 0)] - lo, 0)
     n_actions = 2 + len(extras)
-    q = np.empty((n_actions + 1, c.size, w))
+    idle = [i for i, mix in extras if mix is None]
+    q = np.empty((n_actions + 1, w, c.size))
     q_at = np.empty((n_actions, S, c.size))
     for t in range(S):
         n = w - t - 1
-        _row_step(V[:, :n], V[:, 1:n + 1],
-                  coef(k[t], np.minimum(m[:, :n], N - k[t])), extras,
-                  q[:, :, :n], nxt[:, :n])
-        q_at[:, t] = q[:n_actions, segments, at[t]]
+        rows = slice(t, t + (n if along else 1))
+        _row_step(V[:n], V[1:n + 1], do[:, :n], th[:, rows], extras,
+                  q[:, :n], nxt[:n])
+        q_at[:, t] = q[:n_actions, at[t], segments]
+        q_at[idle, t] = V[at[t], segments]  # IDLE's Q: the value at m
         V, nxt = nxt, V
     # the row value is the largest Q, so the tie floor comes from q_at
     j, q_at = j[live], q_at[:, live]
@@ -349,49 +365,70 @@ def majority_intervals(dp: DPSolution, window: float = 0.2) -> tuple:
     return tuple(zip(bounds[:-1], bounds[1:], labels))
 
 
-def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
+def _assemble(grid: Grid, coef: tuple, keep_values: bool) -> DPSolution:
     """Tables, no-arrival path and switch times of one oracle run, from
-    the backward recursion over full rows.
+    the backward recursion.
 
-    ``coef(k, m)`` returns the affine coefficients of `_row_step` at k
-    steps remaining on the doing counts m (a slice here).  A kept run
-    writes each value row into its own array, checkpoints included; else
-    the row alternates between two buffers.  The policy is the first
-    action, in ``action_set`` order, that attains the row value.  The gap
-    pass supplies the tie bits along the no-arrival path: walk, rebuild
-    the path's gaps and ties, and walk again until the path stops moving.
-    A walk can first leave the last path only at a switch whose incumbent
-    is tied, so it is rerun only when one is; each rerun gains a state."""
+    ``coef = (a_do, b_do, a_th, b_th, along)``: `_row_step`'s affine
+    coefficients, DO's as vectors over the doing count m and THINK's at
+    (k, m) as their entry k + along * m (``along`` is 0 or 1).  The rows
+    advance in blocks of ``_BLOCK``, each at the width of its block's first
+    row, so the views of buffers, Q scratch and coefficients are set up
+    once a block.  A cell inside the triangle reads only cells inside it,
+    so the cells past the edge (zero or stale, on padded coefficients)
+    never reach it.  Only the inside is kept, N - k + 1 long: policy rows
+    as views into one buffer (the next row overwrites a row's excess),
+    kept value rows and checkpoints as copies.  The policy is the first
+    action, in ``action_set`` order, that attains the row value.
+    The gap pass supplies the tie bits along the no-arrival path: walk,
+    rebuild the path's gaps and ties, and walk again until the path stops
+    moving.  A walk can first leave the last path only at a switch whose
+    incumbent is tied, so it is rerun only when one is; each rerun gains a
+    state."""
     N, actions = grid.n_steps, grid.action_set
     extras = tuple((i, None if a == ACTION_IDLE else a)
                    for i, a in enumerate(actions[2:], 2))
+    a_do, b_do, a_th, b_th, along = coef
+    # THINK's coefficients as (k, m) tables, views of the vectors
+    think = [np.lib.stride_tricks.as_strided(
+        v, (N + 1, N + 1), (v.strides[0], along * v.strides[0]),
+        writeable=False) for v in (a_th, b_th)]
     S = _checkpoint_stride(N)
-    W, spare = np.zeros(N + 1), np.empty(N + 1)  # k = 0: no time left, no value
-    rows = [W if keep_values else W.copy()]  # the kept rows, or checkpoints
-    policy_rows: list = [np.zeros(0, dtype=np.int8)]
-    q = np.empty((len(actions) + 1, N))
-    for k in range(1, N + 1):
-        n = N - k + 1
-        row = np.empty(n) if keep_values else spare[:n]
-        policy_rows.append(_row_step(W[:n], W[1:n + 1], coef(k, slice(n)),
-                                     extras, q[:, :n], row, True))
-        if keep_values or k % S == 0 and k < N:
-            rows.append(row if keep_values else row.copy())
-        W, spare = row, W
+    W = np.zeros((2, N + 1))  # row k goes to W[k % 2]; k = 0: no value
+    rows = [np.zeros(N + 1)]  # the kept rows, or checkpoints
+    policy = np.empty(N * (N + 1) // 2 + _BLOCK, dtype=np.int8)
+    best, policy_rows = policy.view(bool), [policy[:0]]
+    q, mask = np.empty((len(actions) + 1, N)), np.empty(N, dtype=bool)
+    start = 0  # where row k starts in ``policy``
+    for k0 in range(1, N + 1, _BLOCK):
+        n0 = N - k0 + 1
+        w_th, w_do = W[(k0 - 1) % 2, :n0], W[(k0 - 1) % 2, 1:n0 + 1]
+        row, spare = W[k0 % 2, :n0], W[k0 % 2, 1:n0 + 1]
+        qs, do, scratch = tuple(q[:, :n0]), (a_do[:n0], b_do[:n0]), mask[:n0]
+        for k, th in enumerate(zip(*(t[k0:k0 + _BLOCK, :n0] for t in think)),
+                               k0):
+            _row_step(w_th, w_do, do, th, extras, qs, row,
+                      (best[start:start + n0], scratch))
+            n = N - k + 1
+            policy_rows.append(policy[start:start + n])
+            start += n
+            if keep_values or k % S == 0 and k < N:
+                rows.append(row[:n].copy())
+            w_th, w_do, row, spare = row, spare, w_th, w_do
     checkpoints = rows[:N:S] if keep_values else rows
-    path_actions, path_m = _walk_no_arrival_path(N, actions, policy_rows)
+    path_actions, path_m = _walk_no_arrival_path(N, actions, policy)
     while True:
         gaps, ties = _gaps_along_path(N, extras, path_m, coef, checkpoints, S)
         j, _ = _runs(path_actions)
         if not np.any(ties[j] >> path_actions[j - 1] & 1):
             break
-        path_actions, walked = _walk_no_arrival_path(N, actions, policy_rows,
+        path_actions, walked = _walk_no_arrival_path(N, actions, policy,
                                                      path_m, ties)
         if np.array_equal(walked, path_m):
             break
         path_m = walked
     return DPSolution(
-        grid=grid, root_value=float(W[0]), action_names=actions,
+        grid=grid, root_value=float(W[N % 2, 0]), action_names=actions,
         policy_rows=policy_rows, tie_rows=ties, path_actions=path_actions,
         path_m=path_m, path_gaps=gaps,
         switch_times=_intervals_from_path(grid, actions, path_actions, gaps),
@@ -402,29 +439,21 @@ def _assemble(grid: Grid, coef, keep_values: bool) -> DPSolution:
 # oracle variants
 # ---------------------------------------------------------------------------
 
-def _step_values(agent, grid: Grid, chance, pay, at):
+def _step_values(agent, grid: Grid, chance, pay, along: int) -> tuple:
     """Affine Q coefficients of the triangle recursion for an agent with
-    ``p_bar``, ``lam``, ``c`` and ``B``, as the function ``coef(k, m)`` that
-    `_row_step` reads.  A doing arrival pays ``B`` with the
-    posterior-weighted probability.  A thinking arrival at state (k, m)
-    happens with probability ``chance[at(k, m)]`` and pays
-    ``pay[at(k, m)]``; one of the two may be a scalar.  The vectors are
-    built once, so a row only slices (or, for a window, gathers) them."""
+    ``p_bar``, ``lam``, ``c`` and ``B``, as the ``coef`` that `_assemble`
+    reads.  A doing arrival pays ``B`` with the posterior-weighted
+    probability.  A thinking arrival at state (k, m) happens with
+    probability ``chance[k + along * m]`` and pays ``pay[k + along * m]``;
+    one of the two may be a scalar."""
     N = grid.n_steps
     dt = grid.dt
     s_do = posterior(agent.p_bar, agent.lam, dt * np.arange(N + 1)) * (
         -math.expm1(-agent.lam * dt))
     cost = agent.c * dt
-    a_do = -cost + s_do * agent.B
-    b_do = 1.0 - s_do
     a_th = -cost + chance * pay
-    b_th = np.broadcast_to(1.0 - chance, a_th.shape)
-
-    def coef(k, m):
-        i = at(k, m)
-        return a_do[m], b_do[m], a_th[i], b_th[i]
-
-    return coef
+    return (-cost + s_do * agent.B, 1.0 - s_do, a_th,
+            np.broadcast_to(1.0 - chance, a_th.shape), along)
 
 
 def _lump_oracle(params: ModelParams, grid: Grid, lump: np.ndarray,
@@ -432,9 +461,8 @@ def _lump_oracle(params: ModelParams, grid: Grid, lump: np.ndarray,
     """A thinking arrival in the step with k steps remaining pays
     ``lump[k - 1]``."""
     q_th = -math.expm1(-params.mu * grid.dt)
-    return _assemble(grid, _step_values(params, grid, q_th, lump,
-                                        lambda k, m: k - 1),
-                     keep_values)
+    return _assemble(grid, _step_values(params, grid, q_th,
+                                        np.r_[0.0, lump], 0), keep_values)
 
 
 def dp_reduced(params: ModelParams, model: ProgressModel, grid: Grid, *,
@@ -460,19 +488,19 @@ def _stage2_entry_values(stage2: ProgressModel, grid: Grid) -> np.ndarray:
     p2, nu, b2, c2, _ = stage2._arm
     N, dt = grid.n_steps, grid.dt
     q2 = -math.expm1(-nu * dt)
-    entry = np.zeros(N + 1)
     if p2 == 1.0:
-        for k in range(1, N + 1):
-            work = -c2 * dt + q2 * b2 + (1.0 - q2) * entry[k - 1]
-            entry[k] = max(entry[k - 1], work)
-        return entry
+        gain, keep = -c2 * dt + q2 * b2, 1.0 - q2
+        return np.fromiter(itertools.accumulate(
+            range(N), lambda e, _: max(e, gain + keep * e), initial=0.0),
+            float, N + 1)
     s2 = posterior(p2, nu, dt * np.arange(N)) * q2
     a_work, b_work = -c2 * dt + s2 * b2, 1.0 - s2
+    entry = np.zeros(N + 1)
     W, spare, q = np.zeros(N + 1), np.empty(N + 1), np.empty((2, N))
     for k in range(1, N + 1):
         n = N - k + 1
-        _row_step(W[:n], W[1:n + 1], (a_work[:n], b_work[:n], 0.0, 1.0), (),
-                  q[:, :n], spare[:n])
+        _row_step(W[:n], W[1:n + 1], (a_work[:n], b_work[:n]), (0.0, 1.0),
+                  (), q[:, :n], spare[:n])
         W, spare = spare[:n], W
         entry[k] = W[0]
     return entry
@@ -514,10 +542,7 @@ def dp_no_feedback(nf: NoFeedbackModel, T: float,
     # chance that step j + 1 delivers given that the first j did not
     surv = 1.0 - no_solution_prob(nf, grid.dt * np.arange(N + 2))
     arrive = 1.0 - surv[1:] / surv[:-1]
-    # at (k, m) the agent has thought for N - k - m steps, entry k + m of
-    # the chances stored back to front; m arrives as a slice (a full row,
-    # a forward view) or as an index array (a gap-pass window, gathered)
+    # at (k, m) the agent has thought for N - k - m steps: entry k + m of
+    # the chances stored back to front, padded for the cells past the edge
     return _assemble(grid, _step_values(
-        nf, grid, arrive[::-1], nf.B,
-        lambda k, m: (slice(k, k + m.stop) if isinstance(m, slice)
-                      else k + m)), False)
+        nf, grid, np.r_[arrive[::-1], np.zeros(N)], nf.B, 1), False)

@@ -32,8 +32,8 @@ from dblab import (
     validate_model,
 )
 from dblab import dp as dp_module
-from dblab.dp import (ACTION_DO, ACTION_IDLE, ACTION_THINK, _assemble,
-                      _check_grid, _intervals_from_path)
+from dblab.dp import (_BLOCK, ACTION_DO, ACTION_IDLE, ACTION_THINK,
+                      _assemble, _check_grid, _intervals_from_path)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "dp"
 
@@ -487,15 +487,21 @@ def test_tie_goes_to_first_action_with_both_bits_set():
     # identical DO and THINK rows at every state: the first action in
     # action-set order is chosen, and both are flagged as tied at every
     # state of the no-arrival path.  Both Q rows are W + 1 (coefficients
-    # a = b = 1); every value row is flat, so DO reading W[m + 1] and THINK
-    # reading W[m] see the same value
-    grid = Grid(1e-3, 6, (ACTION_THINK, ACTION_DO))
-    dp = _assemble(grid, lambda k, m: (1.0, 1.0, 1.0, 1.0), False)
+    # a = b = 1); every value row is flat inside the triangle, so DO
+    # reading W[m + 1] and THINK reading W[m] see the same value.  The
+    # cells past the edge of a block's rows are not flat (DO there reads
+    # the zeros beyond the last row), so a policy row carrying one of them
+    # would show a 1
+    N = _BLOCK + 6
+    grid = Grid(1e-3, N, (ACTION_THINK, ACTION_DO))
+    ones = np.ones(N + 1)
+    dp = _assemble(grid, (ones, ones, ones, ones, 0), False)
     assert grid.action_set[0] == ACTION_DO
     for k in range(1, grid.n_steps + 1):
+        assert dp.policy_rows[k].shape == (N - k + 1,)
         assert np.all(dp.policy_rows[k] == 0)
     assert np.all(dp.tie_rows == 0b11)
-    assert dp.root_value == 6.0
+    assert dp.root_value == float(N)
     assert set(dp.path_action_labels()) == {ACTION_DO}
 
 
@@ -504,20 +510,22 @@ def test_tie_goes_to_first_action_with_both_bits_set():
 # ---------------------------------------------------------------------------
 
 def _plain_recursion(grid: Grid, coef, path_m: np.ndarray):
-    """Reference: the backward recursion over full rows, with fresh arrays,
-    the policy and tie rows set by masked assignment in reverse action
-    order, and Q_think - Q_do read off each row at the path state."""
+    """Reference: the backward recursion over exact rows, with fresh
+    arrays, the policy and tie rows set by masked assignment in reverse
+    action order, and Q_think - Q_do read off each row at the path state."""
     N = grid.n_steps
     actions = grid.action_set
+    a_do, b_do, a_th, b_th, along = coef
     W = np.zeros(N + 1)
+    value_rows = [W]
     policy_rows = [np.zeros(0, dtype=np.int8)]
     tie_rows = [np.zeros(0, dtype=np.uint8)]
     gaps = np.zeros(N)
     for k in range(1, N + 1):
         n = N - k + 1
-        a_do, b_do, a_th, b_th = coef(k, np.s_[:n])
-        q_do = a_do + b_do * W[1:n + 1]
-        q_th = a_th + b_th * W[:n]
+        th = k + along * np.arange(n)
+        q_do = a_do[:n] + b_do[:n] * W[1:n + 1]
+        q_th = a_th[th] + b_th[th] * W[:n]
         pure = {ACTION_DO: q_do, ACTION_THINK: q_th, ACTION_IDLE: W[:n]}
         qs = [pure[a] if isinstance(a, str) else a * q_do + (1.0 - a) * q_th
               for a in actions]
@@ -535,7 +543,8 @@ def _plain_recursion(grid: Grid, coef, path_m: np.ndarray):
         m = path_m[N - k]
         gaps[N - k] = q_th[m] - q_do[m]
         W = row
-    return policy_rows, tie_rows, gaps
+        value_rows.append(W)
+    return policy_rows, tie_rows, gaps, value_rows
 
 
 def _full_table_walk(N: int, actions: tuple, policy_rows, tie_rows):
@@ -556,6 +565,8 @@ def _full_table_walk(N: int, actions: tuple, policy_rows, tie_rows):
 
 
 def _gap_pass_case(variant: str, n_steps: int):
+    """One oracle call on a grid of ``n_steps``; "kept" keeps the value
+    table, every other reduced variant runs without it."""
     crit9 = ModelParams(p_bar=0.8, lam=1.0, mu=0.4, c=0.5, B=9.0, T=6.0)
     at4 = ModelParams(p_bar=0.75, lam=0.75, mu=1.0, c=0.5, B=5.0, T=4.0)
     safe = SafeArm(nu=0.5, B_nu=10.25, c_nu=0.0)
@@ -564,8 +575,8 @@ def _gap_pass_case(variant: str, n_steps: int):
                "idle": (ACTION_DO, ACTION_THINK, ACTION_IDLE),
                "rich": (ACTION_DO, ACTION_THINK, ACTION_IDLE, 0.25, 0.5, 0.75)}
     grid = Grid(6e-3, n_steps, actions.get(variant, (ACTION_DO, ACTION_THINK)))
-    if variant in actions:
-        return dp_reduced(crit9, safe, grid, keep_values=False)
+    if variant in actions or variant == "kept":
+        return dp_reduced(crit9, safe, grid, keep_values=variant == "kept")
     if variant == "two_stage":
         return dp_two_stage(at4, RiskyArm(p_bar_nu=0.8, nu=1.0, B_nu=5.0,
                                           c_nu=0.3), grid)
@@ -592,12 +603,17 @@ def _check_against_plain_recursion(monkeypatch, run) -> int:
     monkeypatch.setattr(dp_module, "_assemble", spy)
     monkeypatch.setattr(dp_module, "_gaps_along_path", counted)
     dp = run()
-    policy_rows, tie_rows, gaps = _plain_recursion(dp.grid, seen[0], dp.path_m)
+    policy_rows, tie_rows, gaps, value_rows = _plain_recursion(
+        dp.grid, seen[0], dp.path_m)
 
     def raw(rows):
-        return [(r.dtype, r.tobytes()) for r in rows]
+        return [(r.dtype, r.shape, r.tobytes()) for r in rows]
 
+    # raw() also pins each row's dtype and its N - k + 1 entries
     assert raw(dp.policy_rows) == raw(policy_rows)
+    if dp.value_rows is not None:
+        assert raw(dp.value_rows) == raw(value_rows)
+    assert dp.root_value == value_rows[-1][0]
     N = dp.grid.n_steps
     path_ties = np.array([tie_rows[N - j][dp.path_m[j]] for j in range(N)],
                          dtype=np.uint8)
@@ -609,12 +625,17 @@ def _check_against_plain_recursion(monkeypatch, run) -> int:
     return len(passes)
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 5, 17, 1001])
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 5, 17, 1001, _BLOCK - 1,
+                                     _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("variant", ["pure", "idle", "rich", "two_stage",
-                                     "no_feedback", "no_feedback_limit"])
+                                     "no_feedback", "no_feedback_limit",
+                                     "kept"])
 def test_gap_pass_matches_plain_recursion(monkeypatch, variant, n_steps):
     # checkpoint stride isqrt(N) does not divide N for 5, 17 and 1001, so
-    # the last segment of the gap pass is partial
+    # the last segment of the gap pass is partial; the backward pass takes
+    # its rows in blocks of _BLOCK, each at the width of its first row, and
+    # the sizes around it end in a partial block, an exact one, or one row
+    # into a second or third
     _check_against_plain_recursion(
         monkeypatch, lambda: _gap_pass_case(variant, n_steps))
 
